@@ -1,8 +1,12 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
 The engine is deliberately small: it provides exactly the forward
-operations the knowledge-tracing model needs, records them on an explicit
-tape, and replays the tape once per backward pass. Virtual gate
+operations the knowledge-tracing model calls (add, mul, matmul,
+embedding lookup, sigmoid, layer norm, dropout, mean over an axis, causal
+attention, gate application and the masked BCE loss), records them on an
+explicit tape, and replays the tape once per backward pass
+(:meth:`Tape.backward`). A test fails if any public function here goes
+unused by a gated training step, so dead ops do not accumulate. Virtual gate
 parameters (all-ones vectors multiplied into a layer's output) ride the
 same machinery, so their gradients can be read off without ever being
 applied as an update.
@@ -75,12 +79,6 @@ class Tensor:
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{tag})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
 
 
 def _as_tensor(x, dtype=None):
@@ -178,15 +176,6 @@ class Tape:
                 leaf.grad = np.zeros_like(leaf.data)
             grads[leaf] = leaf.grad
         return grads
-
-
-def backward(loss, tape=None):
-    """Module-level convenience wrapper around :meth:`Tape.backward`."""
-    if tape is None:
-        if not _TAPES:
-            raise GraphError("no active tape (detached graph)")
-        tape = _TAPES[-1]
-    return tape.backward(loss)
 
 
 def _record(out, inputs, bwd):
@@ -311,22 +300,6 @@ def sigmoid(x):
     return _record(out, (x,), bwd)
 
 
-def softmax(x):
-    """Softmax over the last axis."""
-    x = _as_tensor(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=-1, keepdims=True)
-    _check_finite("softmax", data)
-    out = Tensor(data)
-
-    def bwd(g):
-        inner = (g * data).sum(axis=-1, keepdims=True)
-        return (data * (g - inner),)
-
-    return _record(out, (x,), bwd)
-
-
 def layer_norm(x, gain, bias, eps=LN_EPS):
     """Normalize the last axis to zero mean / unit variance, then affine.
 
@@ -378,28 +351,6 @@ def dropout(x, p, rng, train):
         return (g * keep,)
 
     return _record(out, (x,), bwd)
-
-
-def concatenate(tensors, axis=-1):
-    tensors = [_as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ShapeError("concatenate: need at least one tensor")
-    try:
-        data = np.concatenate([t.data for t in tensors], axis=axis)
-    except ValueError:
-        raise ShapeError("concatenate: shapes "
-                         + ", ".join(str(t.shape) for t in tensors)
-                         + f" do not align on axis {axis}") from None
-    _check_finite("concatenate", data)
-    out = Tensor(data)
-    ax = axis if axis >= 0 else data.ndim + axis
-    sizes = [t.shape[ax] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        return tuple(np.split(g, splits, axis=ax))
-
-    return _record(out, tuple(tensors), bwd)
 
 
 def mean_over_axis(x, axis):

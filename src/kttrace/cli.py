@@ -76,27 +76,43 @@ class _Parser(argparse.ArgumentParser):
 # experiment config
 
 
-_TRAIN_KEYS = {"learning_rate", "dropout", "max_epochs", "patience", "batch_size",
-               "clip_norm"}
-_MODEL_KEYS = {"preset", "n_layers", "d_model", "n_head", "d_ff", "dropout",
-               "max_seq_len"}
+_INT, _NUMBER = int, (int, float)
+_TRAIN_KEYS = {"learning_rate": _NUMBER, "dropout": _NUMBER, "max_epochs": _INT,
+               "patience": _INT, "batch_size": _INT, "clip_norm": (*_NUMBER, type(None))}
+_MODEL_KEYS = {"preset": str, "n_layers": _INT, "d_model": _INT, "n_head": _INT,
+               "d_ff": _INT, "dropout": _NUMBER, "max_seq_len": _INT}
 _DATASET_KEYS = {"name", "dataset_index", "path", "role"}
-_SYNTH_KEYS = {"n_students", "n_questions", "n_kcs", "ability_spread",
-               "difficulty_spread", "learning_rate_per_exposure", "mean_seq_len",
-               "seed"}
+_SYNTH_KEYS = {"n_students": _INT, "n_questions": _INT, "n_kcs": _INT,
+               "ability_spread": _NUMBER, "difficulty_spread": _NUMBER,
+               "learning_rate_per_exposure": _NUMBER, "mean_seq_len": _NUMBER,
+               "seed": _INT}
 
 
 def _reject_unknown(obj, allowed, where):
-    unknown = set(obj) - allowed
+    unknown = set(obj).difference(allowed)
     if unknown:
         raise UsageError(f"unknown key(s) {sorted(unknown)} in {where}")
+
+
+def _check_type(value, types, where):
+    types = types if isinstance(types, tuple) else (types,)
+    # bool is an int subclass, but no config value is a flag
+    if isinstance(value, bool) or not isinstance(value, types):
+        names = " or ".join(t.__name__ for t in types)
+        raise UsageError(f"{where} must be {names}, got {type(value).__name__}")
+
+
+def _check_section(obj, schema, where):
+    """Reject unknown keys and values of the wrong type in a config section."""
+    _reject_unknown(obj, schema, where)
+    for key, value in obj.items():
+        _check_type(value, schema[key], f"{where}.{key}")
 
 
 def _require(obj, key, where, types):
     if key not in obj:
         raise UsageError(f"missing required key {key!r} in {where}")
-    if not isinstance(obj[key], types):
-        raise UsageError(f"{where}.{key} must be {types}, got {type(obj[key]).__name__}")
+    _check_type(obj[key], types, f"{where}.{key}")
     return obj[key]
 
 
@@ -117,7 +133,7 @@ class ExperimentConfig:
         self.model_section = obj.get("model", {})
         if not isinstance(self.model_section, dict):
             raise UsageError("config.model must be an object")
-        _reject_unknown(self.model_section, _MODEL_KEYS, "config.model")
+        _check_section(self.model_section, _MODEL_KEYS, "config.model")
         if "preset" in self.model_section and \
                 self.model_section["preset"] not in PRESETS:
             raise UsageError(f"config.model.preset must be one of {sorted(PRESETS)}")
@@ -125,7 +141,7 @@ class ExperimentConfig:
         train = obj.get("train", {})
         if not isinstance(train, dict):
             raise UsageError("config.train must be an object")
-        _reject_unknown(train, _TRAIN_KEYS, "config.train")
+        _check_section(train, _TRAIN_KEYS, "config.train")
         self.train_section = train
 
         self.datasets = []
@@ -157,7 +173,7 @@ class ExperimentConfig:
             where = f"config.synthetic.{name}"
             if not isinstance(entry, dict):
                 raise UsageError(f"{where} must be an object")
-            _reject_unknown(entry, _SYNTH_KEYS, where)
+            _check_section(entry, _SYNTH_KEYS, where)
             self.synthetic[name] = dict(entry)
 
     @classmethod

@@ -313,14 +313,6 @@ class GlobalVocab:
                 return d, global_id - self.q_offsets[d]
         raise AssertionError
 
-    def kc_from_global(self, global_id):
-        if not 0 <= global_id < self.total_kcs:
-            raise ValueError(f"global KC id {global_id} outside [0, {self.total_kcs})")
-        for d in reversed(range(self.n_datasets)):
-            if global_id >= self.kc_offsets[d]:
-                return d, global_id - self.kc_offsets[d]
-        raise AssertionError
-
     def extended(self, name, n_questions, n_kcs):
         """New vocab with one more dataset appended at the next index."""
         entries = list(self.entries) + [(name, self.n_datasets, n_questions, n_kcs)]

@@ -18,7 +18,6 @@ import numpy as np
 
 from .autograd import Tape, bce_loss
 from .data import pack_segments
-from .model import SUBLAYER_KINDS
 
 
 @dataclass
@@ -26,18 +25,20 @@ class LayerImportance:
     block: int
     kind: str
     values: np.ndarray
-    normalized: bool = False
 
     @property
     def layer_id(self):
         return (self.block, self.kind)
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values)
-        if (self.values < 0).any():
-            raise ValueError("importance values must be non-negative")
-        if self.kind not in SUBLAYER_KINDS:
-            raise ValueError(f"unknown sublayer kind {self.kind!r}")
+
+def _field(obj, key, expected):
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"importance profile: missing {key!r}")
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, expected):
+        raise ValueError(f"importance profile: {key!r} must be {expected.__name__}, "
+                         f"got {type(value).__name__}")
+    return value
 
 
 @dataclass
@@ -51,14 +52,30 @@ class ImportanceProfile:
     def add(self, imp):
         self.layers[imp.layer_id] = imp
 
-    def check_covers(self, n_layers):
-        expected = {(i, kind) for i in range(n_layers) for kind in SUBLAYER_KINDS}
-        missing = expected - set(self.layers)
+    def check_covers(self, widths):
+        """Raise ValueError unless the profile fits a model's gated sublayers.
+
+        ``widths`` maps (block, kind) -> unit count, as returned by
+        ``KTModel.gate_widths``. The profile must hold exactly those
+        layers, each a vector of that width with finite, non-negative
+        values. This is the only place a profile is checked: ``fit`` calls
+        it before the first training step, ``compute_importance`` on the
+        profile it builds.
+        """
+        missing = [lid for lid in widths if lid not in self.layers]
         if missing:
-            raise ValueError(f"profile is missing gated layers: {sorted(missing)}")
-        extra = set(self.layers) - expected
+            raise ValueError(f"profile for {self.dataset!r} is missing gated "
+                             f"layers: {missing}")
+        extra = [lid for lid in self.layers if lid not in widths]
         if extra:
-            raise ValueError(f"profile has unknown layers: {sorted(extra)}")
+            raise ValueError(f"profile for {self.dataset!r} has unknown layers: {extra}")
+        for lid, width in widths.items():
+            values = self.layers[lid].values
+            if values.shape != (width,):
+                raise ValueError(f"profile layer {lid} has shape {values.shape}, "
+                                 f"the model needs ({width},)")
+            if not (np.isfinite(values).all() and (values >= 0).all()):
+                raise ValueError(f"profile layer {lid} has negative or non-finite values")
 
     def to_json(self):
         return {
@@ -73,12 +90,18 @@ class ImportanceProfile:
 
     @classmethod
     def from_json(cls, obj):
-        profile = cls(dataset=obj["dataset"], n_samples=obj["n_samples"])
-        for entry in obj["layers"]:
-            values = np.asarray(entry["values"], dtype=np.float32)
-            vmax = values.max() if values.size else 0.0
-            profile.add(LayerImportance(entry["block"], entry["kind"], values,
-                                        normalized=(vmax == 1.0 or vmax == 0.0)))
+        """Parse a profile document; a missing key or a wrong type is a ValueError."""
+        profile = cls(dataset=_field(obj, "dataset", str),
+                      n_samples=_field(obj, "n_samples", int))
+        for entry in _field(obj, "layers", list):
+            values = np.asarray(_field(entry, "values", list))
+            if values.dtype.kind not in "iuf":
+                raise ValueError("importance profile: 'values' must hold numbers")
+            imp = LayerImportance(_field(entry, "block", int), _field(entry, "kind", str),
+                                  values.astype(np.float32))
+            if imp.layer_id in profile.layers:
+                raise ValueError(f"importance profile: layer {imp.layer_id} given twice")
+            profile.add(imp)
         return profile
 
     def save(self, path):
@@ -96,9 +119,7 @@ def constant_profile(model, value, dataset="synthetic"):
     """All-``value`` profile covering every gated sublayer (testing aid)."""
     profile = ImportanceProfile(dataset=dataset, n_samples=0)
     for (block, kind), width in model.gate_widths().items():
-        profile.add(LayerImportance(block, kind,
-                                    np.full(width, value, dtype=np.float32),
-                                    normalized=True))
+        profile.add(LayerImportance(block, kind, np.full(width, value, dtype=np.float32)))
     return profile
 
 
@@ -142,8 +163,8 @@ def compute_importance(model, prepared, batch_size=1, normalize=True):
             vmax = values.max()
             if vmax > 0:
                 values = values / vmax
-        profile.add(LayerImportance(block, kind, values, normalized=normalize))
-    profile.check_covers(model.config.n_layers)
+        profile.add(LayerImportance(block, kind, values))
+    profile.check_covers(model.gate_widths())
     if all(imp.values.max() == 0 for imp in profile.layers.values()):
         warnings.warn(f"all importance values are zero for {prepared.spec.name!r}; "
                       "the model output is insensitive to every gated unit",
@@ -152,20 +173,13 @@ def compute_importance(model, prepared, batch_size=1, normalize=True):
 
 
 def expand_importance(values, shape):
-    """Copy a per-unit vector out to a parameter's gradient shape.
+    """Broadcast a per-unit vector to a parameter's gradient shape.
 
     Weight matrices are stored [out, in]; row i takes values[i]. Biases
-    take the vector itself.
+    take the vector itself. The result is a read-only view, not a copy;
+    widths are checked once, by ``ImportanceProfile.check_covers``.
     """
-    values = np.asarray(values)
-    if values.ndim != 1:
-        raise ValueError(f"importance values must be a vector, got shape {values.shape}")
-    if len(shape) not in (1, 2) or shape[0] != values.shape[0]:
-        raise ValueError(f"cannot expand importance of width {values.shape[0]} "
-                         f"to parameter shape {tuple(shape)}")
-    if len(shape) == 1:
-        return values.copy()
-    return np.broadcast_to(values[:, None], shape).copy()
+    return np.broadcast_to(values if len(shape) == 1 else values[:, None], shape)
 
 
 def modulate(gradients, profile, gated_layers):
@@ -178,13 +192,11 @@ def modulate(gradients, profile, gated_layers):
     """
     out = dict(gradients)
     for layer_id, names in gated_layers.items():
-        if layer_id not in profile.layers:
-            raise ValueError(f"profile for {profile.dataset!r} is missing gated "
-                             f"layer {layer_id}")
         values = profile.layers[layer_id].values
         for name in names:
             grad = gradients[name]
-            out[name] = grad * expand_importance(values.astype(grad.dtype), grad.shape)
+            out[name] = grad * expand_importance(values.astype(grad.dtype, copy=False),
+                                                 grad.shape)
     return out
 
 

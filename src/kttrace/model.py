@@ -32,9 +32,6 @@ PRESETS = {
     "base-1.01B": (32, 1536, 24, 2560),
 }
 
-SUBLAYER_KINDS = ("attention", "intermediate", "output")
-
-
 @dataclass
 class ModelConfig:
     n_layers: int

@@ -25,12 +25,13 @@ from .data import DatasetSpec, GlobalVocab, mix_batches, pack_segments
 from .importance import freeze_masks, modulate
 from .metrics import auc as auc_metric
 from .metrics import collect_predictions
-from .model import KTModel, ModelConfig
+from .model import KTModel, ModelConfig, _parameter_specs
 
 logger = logging.getLogger(__name__)
 
 GRID_LEARNING_RATES = (1e-3, 1e-4)
 GRID_DROPOUTS = (0.1, 0.2)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 CHECKPOINT_MAGIC = b"LRKT"
 CHECKPOINT_VERSION = 1
@@ -76,9 +77,6 @@ class TrainConfig:
     patience: int = 10
     batch_size: int = 64
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     clip_norm: float | None = 5.0
 
     def __post_init__(self):
@@ -112,23 +110,22 @@ class Adam:
     def __init__(self, params, config):
         self.params = params
         self.lr = config.learning_rate
-        self.beta1, self.beta2, self.eps = config.beta1, config.beta2, config.eps
         self.m = {n: np.zeros_like(t.data) for n, t in params.items()}
         self.v = {n: np.zeros_like(t.data) for n, t in params.items()}
         self.t = 0
 
     def step(self, grads, frozen=None):
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - ADAM_BETA1 ** self.t
+        c2 = 1.0 - ADAM_BETA2 ** self.t
         for name, p in self.params.items():
             g = grads.get(name)
             if g is None:
                 g = np.zeros_like(p.data)
             g = g.astype(p.data.dtype, copy=False)
-            new_m = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            new_v = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
-            update = self.lr * (new_m / c1) / (np.sqrt(new_v / c2) + self.eps)
+            new_m = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
+            new_v = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * (g * g)
+            update = self.lr * (new_m / c1) / (np.sqrt(new_v / c2) + ADAM_EPS)
             if frozen is not None and name in frozen:
                 hold = frozen[name]
                 new_m = np.where(hold, self.m[name], new_m)
@@ -244,8 +241,12 @@ def load_checkpoint(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointFormatError(f"{path}: unreadable header ({exc})") from None
 
-    manifest = obj["manifest"]
-    payload_len = sum(4 * int(np.prod(m["shape"])) for m in manifest)
+    try:
+        manifest = obj["manifest"]
+        sizes = [4 * int(np.prod(m["shape"])) for m in manifest]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _malformed(path, exc) from None
+    payload_len = sum(sizes)
     expected = 16 + header_len + payload_len + _DIGEST_LEN
     if len(blob) < expected:
         raise CheckpointTruncatedError(f"{path}: need {expected} bytes, found {len(blob)}")
@@ -256,18 +257,33 @@ def load_checkpoint(path):
     if hashlib.sha256(header + payload).digest() != digest:
         raise CheckpointDigestError(f"{path}: SHA-256 digest mismatch")
 
+    try:
+        config = ModelConfig.from_json(obj["config"])
+        config.validate()
+        vocab = GlobalVocab.from_json(obj["vocab"])
+        dataset_specs = [DatasetSpec(d["name"], d["dataset_index"], d["path"])
+                         for d in obj["dataset_specs"]]
+        metadata = dict(obj["metadata"])
+        declared, offset = [], 0
+        for name, shape, _ in _parameter_specs(config, vocab):
+            declared.append({"name": name, "shape": list(shape), "offset": offset})
+            offset += 4 * int(np.prod(shape))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _malformed(path, exc) from None
+    if manifest != declared:
+        raise CheckpointFormatError(f"{path}: manifest does not list the configured "
+                                    "model's parameters in checkpoint order")
+
     params = OrderedDict()
-    for m in manifest:
-        size = 4 * int(np.prod(m["shape"]))
+    for m, size in zip(manifest, sizes):
         raw = payload[m["offset"]:m["offset"] + size]
         params[m["name"]] = np.frombuffer(raw, dtype="<f4").reshape(m["shape"]).copy()
-    return Checkpoint(
-        config=ModelConfig.from_json(obj["config"]),
-        vocab=GlobalVocab.from_json(obj["vocab"]),
-        dataset_specs=[DatasetSpec(d["name"], d["dataset_index"], d["path"])
-                       for d in obj["dataset_specs"]],
-        params=params,
-        metadata=obj["metadata"])
+    return Checkpoint(config, vocab, dataset_specs, params, metadata)
+
+
+def _malformed(path, exc):
+    """A missing or mistyped header field, as a CheckpointFormatError."""
+    return CheckpointFormatError(f"{path}: malformed header ({exc!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +308,7 @@ def fit(model, datasets, config, profile=None, stage="train"):
     masks = None
     gated = None
     if profile is not None:
-        profile.check_covers(model.config.n_layers)
+        profile.check_covers(model.gate_widths())
         gated = model.gated_layers()
         shapes = {n: t.shape for n, t in model.parameters().items()}
         masks = freeze_masks(profile, gated, shapes) or None

@@ -1,6 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
+import kttrace.autograd as ag
 from kttrace.autograd import (
     GateParam,
     GraphError,
@@ -11,7 +14,6 @@ from kttrace.autograd import (
     add,
     bce_loss,
     causal_attention,
-    concatenate,
     dropout,
     embedding_lookup,
     gate_apply,
@@ -20,9 +22,9 @@ from kttrace.autograd import (
     mean_over_axis,
     mul,
     sigmoid,
-    softmax,
 )
-from helpers import finite_diff, max_rel_err
+from kttrace.data import pack_segments
+from helpers import build_tiny, finite_diff, hand_sequences, max_rel_err
 
 
 def scalarize(t):
@@ -34,18 +36,6 @@ def scalarize(t):
 
 # ---------------------------------------------------------------------------
 # forward values
-
-
-def test_softmax_symmetry():
-    out = softmax(Tensor([0.0, 0.0, 0.0]))
-    np.testing.assert_allclose(out.data, [1 / 3, 1 / 3, 1 / 3], atol=1e-7)
-
-
-def test_softmax_rows_normalized():
-    rng = np.random.default_rng(0)
-    out = softmax(Tensor(rng.normal(size=(4, 7)) * 5))
-    assert (out.data >= 0).all()
-    np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(4), atol=1e-6)
 
 
 def test_sigmoid_at_zero():
@@ -68,15 +58,6 @@ def test_layer_norm_constant_row_is_zero():
 def test_mean_over_axis_value():
     out = mean_over_axis(Tensor([[1.0, 3.0], [5.0, 7.0]]), axis=1)
     np.testing.assert_allclose(out.data, [2.0, 6.0])
-
-
-def test_concatenate_roundtrip_values():
-    a = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
-    b = Tensor(np.arange(4, dtype=np.float32).reshape(2, 2))
-    out = concatenate([a, b], axis=1)
-    assert out.shape == (2, 5)
-    np.testing.assert_array_equal(out.data[:, :3], a.data)
-    np.testing.assert_array_equal(out.data[:, 3:], b.data)
 
 
 def test_dropout_eval_is_identity():
@@ -284,13 +265,6 @@ def test_grad_embedding_lookup():
         lambda t: scalarize(sigmoid(embedding_lookup(t["table"], ids))), arrays)
 
 
-def test_grad_softmax():
-    rng = np.random.default_rng(5)
-    arrays = {"x": rng.normal(size=(3, 5))}
-    probe = rng.normal(size=(3, 5))
-    check_op_grads(lambda t: scalarize(mul(softmax(t["x"]), Tensor(probe))), arrays)
-
-
 def test_grad_layer_norm():
     rng = np.random.default_rng(6)
     arrays = {
@@ -311,13 +285,6 @@ def test_grad_causal_attention():
     check_op_grads(
         lambda t: scalarize(sigmoid(causal_attention(t["q"], t["k"], t["v"], n_head=2))),
         arrays)
-
-
-def test_grad_concatenate():
-    rng = np.random.default_rng(8)
-    arrays = {"a": rng.normal(size=(2, 3)), "b": rng.normal(size=(2, 2))}
-    check_op_grads(
-        lambda t: scalarize(sigmoid(concatenate([t["a"], t["b"]], axis=1))), arrays)
 
 
 def test_grad_mean_over_axis():
@@ -390,3 +357,31 @@ def test_determinism_bitwise():
     assert l1.tobytes() == l2.tobytes()
     assert gx1.tobytes() == gx2.tobytes()
     assert gw1.tobytes() == gw2.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the engine keeps only the ops the model uses
+
+
+def test_every_public_function_runs_in_a_gated_training_step(monkeypatch):
+    public = [name for name, obj in vars(ag).items()
+              if inspect.isfunction(obj) and obj.__module__ == ag.__name__
+              and not name.startswith("_")]
+    called = set()
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in public:
+        monkeypatch.setattr(ag, name, spy(name, getattr(ag, name)))
+    model, vocab = build_tiny(n_layers=2)
+    batch = pack_segments(hand_sequences(), vocab, 0, dtype=model.dtype)
+    with Tape() as tape:
+        probs = model.forward_batch(batch, gates=model.make_gates(), train=True,
+                                    rng=np.random.default_rng(0), drop_p=0.1)
+        loss = ag.bce_loss(probs, batch.targets, batch.pred_mask)
+    tape.backward(loss)
+    assert sorted(set(public) - called) == []

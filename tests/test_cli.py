@@ -1,7 +1,12 @@
+import hashlib
 import json
+import struct
 import warnings
 
+import pytest
+
 from kttrace.cli import main
+from kttrace.model import KTModel
 
 
 def run_cli(capsys, *argv):
@@ -13,7 +18,7 @@ def run_cli(capsys, *argv):
     return code, summary
 
 
-def write_config(tmp_path, **overrides):
+def write_config(tmp_path, name="config.json", **overrides):
     cfg = {
         "seed": 11,
         "paths": {"workdir": "run"},
@@ -39,7 +44,7 @@ def write_config(tmp_path, **overrides):
         },
     }
     cfg.update(overrides)
-    path = tmp_path / "config.json"
+    path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
 
@@ -77,6 +82,82 @@ def test_unknown_train_key_rejected(tmp_path, capsys):
     assert code == 1
 
 
+PIPELINE_DATASETS = [
+    {"name": "rich0", "dataset_index": 0, "path": "run/data/rich0.txt", "role": "pretrain"},
+    {"name": "low", "dataset_index": 1, "path": "run/data/low.txt", "role": "target"},
+]
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """Workdir with prepared data, a pre-trained checkpoint and a target profile."""
+    root = tmp_path_factory.mktemp("pipeline")
+    cfg = str(write_config(root, datasets=PIPELINE_DATASETS))
+    ckpt = root / "run" / "checkpoints" / "pretrained.lrkt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for argv in (["synth", "--dataset", "rich0"], ["synth", "--dataset", "low"],
+                     ["preprocess"], ["pretrain"],
+                     ["importance", "--checkpoint", str(ckpt), "--dataset", "low"]):
+            assert main([*argv, "--config", cfg]) == 0, argv
+    return root, ckpt, root / "run" / "profiles" / "low.json"
+
+
+@pytest.mark.parametrize("command, section", [
+    ("synth", {"synthetic": {"low": {"n_students": "x"}}}),
+    ("pretrain", {"train": {"batch_size": "x"}}),
+    ("pretrain", {"train": {"max_epochs": True}}),
+    ("pretrain", {"model": {"n_layers": 1, "d_model": "16", "n_head": 2, "d_ff": 16}}),
+], ids=["synth-count", "train-int", "train-bool", "model-int"])
+def test_wrong_type_config_value_is_usage_error(pipeline, capsys, command, section):
+    root, _, _ = pipeline
+    path = write_config(root, name="typed.json", datasets=PIPELINE_DATASETS, **section)
+    argv = [command, "--config", str(path)] + (["--dataset", "low"] if command == "synth" else [])
+    code, _ = run_cli(capsys, *argv)
+    assert code == 1
+
+
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+def _first_layer(profile, **changes):
+    layers = profile["layers"]
+    return dict(profile, layers=[dict(layers[0], **changes)] + layers[1:])
+
+
+BAD_PROFILES = {
+    "nan-value": lambda p: _first_layer(p, values=[float("nan")] + p["layers"][0]["values"][1:]),
+    "negative-value": lambda p: _first_layer(p, values=[-0.5] + p["layers"][0]["values"][1:]),
+    "wrong-width": lambda p: _first_layer(p, values=p["layers"][0]["values"][1:]),
+    "unknown-kind": lambda p: _first_layer(p, kind="embedding"),
+    "no-values": lambda p: dict(p, layers=[_without(p["layers"][0], "values")] + p["layers"][1:]),
+    "no-layers": lambda p: _without(p, "layers"),
+    "no-dataset": lambda p: _without(p, "dataset"),
+    "values-not-a-list": lambda p: _first_layer(p, values="0.5"),
+    "layers-not-a-list": lambda p: dict(p, layers={"block": 0}),
+    "dataset-not-a-string": lambda p: dict(p, dataset=3),
+    "duplicate-layer": lambda p: dict(p, layers=p["layers"] + p["layers"][:1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PROFILES))
+def test_bad_profile_is_data_error_before_training(pipeline, capsys, monkeypatch, case):
+    root, ckpt, profile = pipeline
+    bad = root / f"profile-{case}.json"
+    bad.write_text(json.dumps(BAD_PROFILES[case](json.loads(profile.read_text()))))
+    out = root / "run" / "checkpoints" / f"tuned-{case}.lrkt"
+    # pytest.fail raises a BaseException, which main does not catch
+    monkeypatch.setattr(KTModel, "forward_batch",
+                        lambda *a, **k: pytest.fail("a training step started"))
+    # main returning at all means no exception, hence no traceback, escaped
+    code, _ = run_cli(capsys, "finetune", "--config", str(root / "config.json"),
+                      "--checkpoint", str(ckpt), "--dataset", "low",
+                      "--profile", str(bad), "--out", str(out))
+    assert code == 2
+    assert not out.exists()
+
+
 def test_malformed_dataset_file_is_data_error(tmp_path, capsys):
     path = write_config(tmp_path)
     data = tmp_path / "run" / "data"
@@ -87,13 +168,35 @@ def test_malformed_dataset_file_is_data_error(tmp_path, capsys):
     assert code == 2
 
 
+def _checkpoint_with_header(header_obj):
+    """A checkpoint file with an empty payload and a valid digest."""
+    header = json.dumps(header_obj).encode("utf-8")
+    return (b"LRKT" + struct.pack("<IQ", 1, len(header)) + header
+            + hashlib.sha256(header).digest())
+
+
 def test_corrupt_checkpoint_is_data_error(tmp_path, capsys):
     path = write_config(tmp_path)
-    bad = tmp_path / "bad.lrkt"
-    bad.write_bytes(b"NOPE" + b"\x00" * 64)
-    code, _ = run_cli(capsys, "eval", "--config", str(path),
-                      "--checkpoint", str(bad))
-    assert code == 2
+    fields = {"config": {}, "vocab": {"datasets": []}, "dataset_specs": [],
+              "metadata": {}}
+    inputs = {
+        "bad-magic": b"NOPE" + b"\x00" * 64,
+        "no-manifest": _checkpoint_with_header(fields),
+        "mistyped-shape": _checkpoint_with_header(
+            dict(fields, manifest=[{"name": "emb.question", "shape": "x", "offset": 0}])),
+        "no-config": _checkpoint_with_header(dict(_without(fields, "config"), manifest=[])),
+        "manifest-mismatch": _checkpoint_with_header(dict(
+            fields, manifest=[],
+            config={"n_layers": 1, "d_model": 4, "n_head": 2, "d_ff": 4},
+            vocab={"datasets": [{"name": "low", "dataset_index": 0,
+                                 "n_questions": 3, "n_kcs": 2}]})),
+    }
+    for case, blob in inputs.items():
+        bad = tmp_path / f"{case}.lrkt"
+        bad.write_bytes(blob)
+        code, _ = run_cli(capsys, "eval", "--config", str(path),
+                          "--checkpoint", str(bad))
+        assert code == 2, case
 
 
 # ---------------------------------------------------------------------------

@@ -43,8 +43,11 @@ def test_expand_all_ones_any_shape():
 
 
 def test_expand_rejects_mismatch():
-    with pytest.raises(ValueError, match="expand"):
-        expand_importance(np.ones(3), (4, 2))
+    model, _ = build_tiny()
+    profile = constant_profile(model, 1.0)
+    profile.layers[(0, "output")].values = np.ones(3, dtype=np.float32)
+    with pytest.raises(ValueError, match="shape"):
+        profile.check_covers(model.gate_widths())
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +85,22 @@ def test_modulate_missing_layer_errors():
     profile = constant_profile(model, 1.0)
     del profile.layers[(0, "output")]
     with pytest.raises(ValueError, match="missing"):
-        modulate(fixture_grads(model), profile, model.gated_layers())
+        profile.check_covers(model.gate_widths())
+
+
+@pytest.mark.parametrize("case", ["nan", "negative", "unknown-kind"])
+def test_check_covers_rejects_bad_values_and_layers(case):
+    model, _ = build_tiny()
+    profile = constant_profile(model, 1.0)
+    values = profile.layers[(0, "attention")].values
+    if case == "nan":
+        values[1] = np.nan
+    elif case == "negative":
+        values[1] = -0.5
+    else:
+        profile.add(LayerImportance(0, "embedding", values.copy()))
+    with pytest.raises(ValueError, match="non-finite|unknown"):
+        profile.check_covers(model.gate_widths())
 
 
 def test_freeze_masks_cover_zero_rows():
@@ -91,7 +109,7 @@ def test_freeze_masks_cover_zero_rows():
     width = model.gate_widths()[(0, "intermediate")]
     vals = np.ones(width, dtype=np.float32)
     vals[0] = 0.0
-    profile.layers[(0, "intermediate")] = LayerImportance(0, "intermediate", vals, True)
+    profile.layers[(0, "intermediate")] = LayerImportance(0, "intermediate", vals)
     shapes = {n: t.shape for n, t in model.parameters().items()}
     masks = freeze_masks(profile, model.gated_layers(), shapes)
     assert set(masks) == {"block0.inter.w", "block0.inter.b"}
@@ -126,10 +144,10 @@ def test_importance_covers_all_sublayers_and_is_nonnegative():
     model, _ = build_tiny(n_layers=2)
     profile = compute_importance(model, prepared_tiny(), batch_size=2)
     assert len(profile.layers) == 3 * 2
-    profile.check_covers(2)
+    profile.check_covers(model.gate_widths())
     for imp in profile.layers.values():
         assert (imp.values >= 0).all()
-        assert imp.normalized and imp.values.max() == pytest.approx(1.0)
+        assert imp.values.max() == pytest.approx(1.0)
 
 
 def test_importance_empty_dataset_errors():

@@ -289,7 +289,7 @@ def test_single_step_row_level_freeze():
     model, vocab = model_for([prepared], d_ff=2)
     profile = constant_profile(model, 1.0)
     profile.layers[(0, "intermediate")] = LayerImportance(
-        0, "intermediate", np.array([0.0, 1.0], dtype=np.float32), normalized=True)
+        0, "intermediate", np.array([0.0, 1.0], dtype=np.float32))
     gated = model.gated_layers()
     shapes = {n: t.shape for n, t in model.parameters().items()}
     masks = freeze_masks(profile, gated, shapes)
