@@ -382,7 +382,8 @@ def causal_attention(q, k, v, n_head):
     if D % n_head != 0:
         raise ShapeError(f"causal_attention: d_model {D} not divisible by n_head {n_head}")
     dh = D // n_head
-    scale = 1.0 / np.sqrt(dh)
+    # a float64 scalar would promote float32 scores to float64
+    scale = q.dtype.type(1.0 / np.sqrt(dh))
 
     def split(x):
         return x.reshape(B, T, n_head, dh).transpose(0, 2, 1, 3)

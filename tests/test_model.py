@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kttrace.autograd import Tape, Tensor, mean_over_axis, mul
+from kttrace.autograd import Tape, Tensor, bce_loss, mean_over_axis, mul
 from kttrace.data import (
     DatasetSpec,
     Interaction,
@@ -188,6 +188,19 @@ def test_padding_invariance():
     pert = model.predict_batch(tampered)
     np.testing.assert_array_equal(base[0, :3], pert[0, :3])
     np.testing.assert_array_equal(base[1], pert[1])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_model_runs_in_its_own_dtype(dtype):
+    model, vocab = build_tiny(dtype=dtype, n_layers=2)
+    batch = pack_segments(hand_sequences(), vocab, 0, dtype=model.dtype)
+    with Tape() as tape:
+        probs = model.forward_batch(batch)
+        loss = bce_loss(probs, batch.targets, batch.pred_mask)
+    tape.backward(loss)
+    assert probs.dtype == dtype and loss.dtype == dtype
+    for name, t in model.parameters().items():
+        assert t.grad.dtype == dtype, name
 
 
 def test_eval_forward_deterministic():
