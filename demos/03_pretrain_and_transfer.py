@@ -14,7 +14,7 @@ from kttrace.data import (
 )
 from kttrace.metrics import evaluate
 from kttrace.model import KTModel, ModelConfig, zero_shot_adapt
-from kttrace.train import Checkpoint, TrainConfig, finetune, fit, pretrain
+from kttrace.train import Checkpoint, TrainConfig, fit
 
 warnings.simplefilter("ignore")
 
@@ -49,7 +49,8 @@ print(f"model: {config.n_layers} blocks, d_model {config.d_model}, "
       f"{model.n_params} parameters")
 
 print("\npre-training on rich0 + rich1 ...")
-pre = pretrain(model, rich, TrainConfig(max_epochs=5, patience=5, batch_size=64, seed=0))
+pre = fit(model, rich, TrainConfig(max_epochs=5, patience=5, batch_size=64, seed=0),
+          stage="pretrain")
 print(f"  best val AUC {pre.metadata['best_val_auc']:.4f} "
       f"at epoch {pre.metadata['best_epoch']}")
 
@@ -58,7 +59,7 @@ adapted_ckpt = Checkpoint.from_model(adapted, [d.spec for d in rich] + [low.spec
 print(f"zero-shot test AUC on the unseen dataset: {test_auc(adapted_ckpt, low):.4f}")
 
 ft_cfg = TrainConfig(max_epochs=30, patience=5, batch_size=64, seed=4)
-tuned = finetune(adapted_ckpt, low, ft_cfg)
+tuned = fit(adapted_ckpt.build_model(), [low], ft_cfg, stage="finetune")
 print(f"fine-tuned test AUC: {test_auc(tuned, low):.4f}")
 
 low_vocab = build_vocab([DatasetSpec("low", 0)], {"low": (low.n_questions, low.n_kcs)})

@@ -14,7 +14,7 @@ from kttrace.data import (
 )
 from kttrace.importance import compute_importance, constant_profile
 from kttrace.model import KTModel, ModelConfig, zero_shot_adapt
-from kttrace.train import Checkpoint, TrainConfig, finetune, pretrain
+from kttrace.train import Checkpoint, TrainConfig, fit
 
 warnings.simplefilter("ignore")
 
@@ -35,8 +35,8 @@ low = make("low", 1, 60, seed=2)
 vocab = build_vocab([rich.spec], {"rich": (60, 8)})
 model = KTModel.build(ModelConfig(n_layers=2, d_model=16, n_head=2, d_ff=32,
                                   dropout=0.1).sized_for(vocab), vocab, seed=0)
-pre = pretrain(model, [rich], TrainConfig(max_epochs=4, patience=4,
-                                          batch_size=64, seed=0))
+pre = fit(model, [rich], TrainConfig(max_epochs=4, patience=4, batch_size=64, seed=0),
+          stage="pretrain")
 
 adapted = zero_shot_adapt(pre.build_model(), "low", 60, 8, seed=5)
 profile = compute_importance(adapted, low, batch_size=8)
@@ -51,13 +51,15 @@ print("saved to /tmp/low-profile.json")
 ckpt = Checkpoint.from_model(adapted, [rich.spec, low.spec], {})
 cfg = TrainConfig(max_epochs=3, patience=10, batch_size=32, seed=7)
 
-plain = finetune(ckpt, low, cfg)
-ones = finetune(ckpt, low, cfg, profile=constant_profile(adapted, 1.0))
+plain = fit(ckpt.build_model(), [low], cfg, stage="finetune")
+ones = fit(ckpt.build_model(), [low], cfg, profile=constant_profile(adapted, 1.0),
+           stage="finetune")
 identical = all(plain.params[n].tobytes() == ones.params[n].tobytes()
                 for n in plain.params)
 print(f"\nall-ones profile reproduces plain fine-tuning bitwise: {identical}")
 
-zeros = finetune(ckpt, low, cfg, profile=constant_profile(adapted, 0.0))
+zeros = fit(ckpt.build_model(), [low], cfg, profile=constant_profile(adapted, 0.0),
+            stage="finetune")
 gated = {n for names in adapted.gated_layers().values() for n in names}
 frozen = all(zeros.params[n].tobytes() == ckpt.params[n].tobytes() for n in gated)
 emb_moved = zeros.params["emb.question"].tobytes() != ckpt.params["emb.question"].tobytes()

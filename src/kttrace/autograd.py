@@ -332,18 +332,21 @@ def layer_norm(x, gain, bias, eps=LN_EPS):
     return _record(out, (x, gain, bias), bwd)
 
 
-def dropout(x, p, rng, train):
-    """Inverted dropout: scale kept units by 1/(1-p) at train time.
+def dropout(x, p, rng):
+    """Inverted dropout: zero units with probability ``p``, scale the rest
+    by 1/(1-p).
 
-    Identity in eval mode, so no correction is applied at inference.
-    ``rng`` must be a seeded numpy Generator; the drawn mask is what makes
-    two same-seed runs bit-identical.
+    At ``p == 0`` it returns ``x`` itself, so evaluation needs no
+    correction. ``rng`` must be a seeded numpy Generator; the drawn mask
+    is what makes two same-seed runs bit-identical.
     """
     x = _as_tensor(x)
-    if not train or p == 0.0:
-        return x
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout: rate must be in [0, 1), got {p}")
+    if p == 0.0:
+        return x
+    if rng is None:
+        raise ValueError("dropout: a rate above 0 needs a seeded rng")
     keep = (rng.random(x.shape) >= p).astype(x.dtype) / x.dtype.type(1.0 - p)
     out = Tensor(x.data * keep)
 

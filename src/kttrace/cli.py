@@ -48,12 +48,10 @@ from .importance import ImportanceProfile, compute_importance
 from .metrics import evaluate, reports_to_json, write_reports_csv, write_reports_json
 from .model import PRESETS, KTModel, ModelConfig, zero_shot_adapt
 from .train import (
-    Checkpoint,
     TrainConfig,
     TrainingDivergedError,
-    finetune,
+    fit,
     load_checkpoint,
-    pretrain,
     save_checkpoint,
     stage_seed,
 )
@@ -258,17 +256,17 @@ def read_prepared(cfg, name):
                            n_questions=meta["n_questions"], n_kcs=meta["n_kcs"])
 
 
-def adapt_if_needed(ckpt, prepared, seed):
-    """Model from a checkpoint, vocabulary extended to the target if unseen.
+def adapt_if_needed(model, prepared, seed):
+    """``model``, or a copy with its vocabulary extended to an unseen target.
 
     The adaptation seed depends only on (global seed, dataset name), so
     the importance and finetune commands start from identical embeddings.
+    ``model`` itself is never changed.
     """
-    model = ckpt.build_model()
     known = {(n, i) for n, i, _, _ in model.vocab.entries}
     key = (prepared.spec.name, prepared.spec.dataset_index)
     if key in known:
-        return model, False
+        return model
     expected_index = model.vocab.n_datasets
     if prepared.spec.dataset_index != expected_index:
         raise ValueError(
@@ -280,7 +278,7 @@ def adapt_if_needed(ckpt, prepared, seed):
                             seed=stage_seed(seed, "adapt", prepared.spec.name))
     logger.info("adapted checkpoint to %s (index %d)", prepared.spec.name,
                 expected_index)
-    return model, True
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +359,7 @@ def cmd_pretrain(cfg, args):
     model = KTModel.build(model_cfg, vocab, seed=stage_seed(seed, "init"))
     logger.info("built model: %d parameters, %d datasets", model.n_params,
                 vocab.n_datasets)
-    ckpt = pretrain(model, datasets, cfg.train_config("pretrain", seed))
+    ckpt = fit(model, datasets, cfg.train_config("pretrain", seed), stage="pretrain")
     out = cfg.resolve(args.out) if args.out \
         else cfg.ensure_dir("checkpoints") / "pretrained.lrkt"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -377,7 +375,7 @@ def cmd_importance(cfg, args):
     ckpt = load_checkpoint(cfg.resolve(args.checkpoint))
     prepared = read_prepared(cfg, args.dataset)
     seed = args.seed if args.seed is not None else cfg.seed
-    model, _ = adapt_if_needed(ckpt, prepared, seed)
+    model = adapt_if_needed(ckpt.build_model(), prepared, seed)
     batch_size = cfg.train_section.get("batch_size", TrainConfig().batch_size)
     profile = compute_importance(model, prepared, batch_size=batch_size)
     out = cfg.resolve(args.out) if args.out \
@@ -392,22 +390,18 @@ def cmd_finetune(cfg, args):
     ckpt = load_checkpoint(cfg.resolve(args.checkpoint))
     prepared = read_prepared(cfg, args.dataset)
     seed = args.seed if args.seed is not None else cfg.seed
-    model, adapted = adapt_if_needed(ckpt, prepared, seed)
-    if adapted:
-        ckpt = Checkpoint.from_model(
-            model, ckpt.dataset_specs + [prepared.spec],
-            {**ckpt.metadata, "adapted_to": prepared.spec.name})
+    model = adapt_if_needed(ckpt.build_model(), prepared, seed)
     profile = None
     if args.profile:
         profile = ImportanceProfile.load(cfg.resolve(args.profile))
     train_cfg = cfg.train_config("finetune", seed)
-    tuned = finetune(ckpt, prepared, train_cfg, profile=profile)
+    tuned = fit(model, [prepared], train_cfg, profile=profile, stage="finetune")
     out = cfg.resolve(args.out) if args.out \
         else cfg.ensure_dir("checkpoints") / f"finetuned-{args.dataset}.lrkt"
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(tuned, out)
 
-    reports = evaluate(tuned.build_model(),
+    reports = evaluate(model,
                        [(prepared.spec.name, prepared.spec.dataset_index, "test",
                          prepared.splits.test)],
                        batch_size=train_cfg.batch_size)
@@ -429,8 +423,9 @@ def cmd_eval(cfg, args):
     seed = args.seed if args.seed is not None else cfg.seed
     reports = []
     batch_size = cfg.train_section.get("batch_size", TrainConfig().batch_size)
+    base = ckpt.build_model()
     for prepared in (read_prepared(cfg, name) for name in names):
-        model, _ = adapt_if_needed(ckpt, prepared, seed)
+        model = adapt_if_needed(base, prepared, seed)
         splits = [(prepared.spec.name, prepared.spec.dataset_index, split, segs)
                   for split, segs in prepared.splits
                   if split in ("valid", "test") and segs]

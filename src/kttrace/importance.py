@@ -149,7 +149,7 @@ def compute_importance(model, prepared, batch_size=1, normalize=True):
         batch = pack_segments(chunk, model.vocab, prepared.spec.dataset_index,
                               dtype=model.dtype)
         with Tape() as tape:
-            probs = model.forward_batch(batch, gates=gates, train=False, drop_p=0.0)
+            probs = model.forward_batch(batch, gates=gates)
             loss = bce_loss(probs, batch.targets, batch.pred_mask)
         tape.backward(loss)
         for lid, gate in gates.items():

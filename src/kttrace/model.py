@@ -253,17 +253,16 @@ class KTModel:
     def _linear(self, x, w, b):
         return ag.add(ag.matmul(x, self._params[w], transpose_b=True), self._params[b])
 
-    def forward_batch(self, batch, gates=None, train=False, rng=None, drop_p=None):
+    def forward_batch(self, batch, gates=None, drop_p=0.0, rng=None):
         """Predicted next-response probabilities, shape [B, T, 1].
 
         Position t carries the prediction for interaction t+1;
         ``batch.pred_mask`` marks which of those are real. ``gates``, when
         given, multiplies each sublayer output by its all-ones gate so the
-        tape captures per-unit gradients.
+        tape captures per-unit gradients. ``drop_p`` above 0 applies
+        dropout to each sublayer output with masks drawn from ``rng``
+        (training); at 0, the default, the pass is deterministic.
         """
-        p_drop = self.config.dropout if drop_p is None else drop_p
-        if train and p_drop > 0.0 and rng is None:
-            raise ValueError("training forward with dropout needs a seeded rng")
         P = self._params
         h = self.encode_steps(batch)
         query = self.encode_queries(batch)
@@ -276,7 +275,7 @@ class KTModel:
             a = self._linear(a, f"block{i}.attn.wo", f"block{i}.attn.bo")
             if gates is not None:
                 a = ag.gate_apply(a, gates[(i, "attention")])
-            a = ag.dropout(a, p_drop, rng, train)
+            a = ag.dropout(a, drop_p, rng)
             h = ag.add(h, a)
 
             z2 = ag.layer_norm(h, P[f"block{i}.ln2.gain"], P[f"block{i}.ln2.bias"])
@@ -287,7 +286,7 @@ class KTModel:
             out = ag.add(out, P[f"block{i}.output.b"])
             if gates is not None:
                 out = ag.gate_apply(out, gates[(i, "output")])
-            out = ag.dropout(out, p_drop, rng, train)
+            out = ag.dropout(out, drop_p, rng)
             h = ag.add(h, out)
 
         h = ag.layer_norm(h, P["final_ln.gain"], P["final_ln.bias"])
@@ -298,7 +297,7 @@ class KTModel:
 
     def predict_batch(self, batch):
         """Eval-mode forward outside any tape; returns a plain [B, T] array."""
-        probs = self.forward_batch(batch, train=False, drop_p=0.0)
+        probs = self.forward_batch(batch)
         return probs.data[..., 0]
 
 

@@ -1,11 +1,14 @@
-"""Training loops: multi-dataset pre-training, fine-tuning, persistence.
+"""Training: one loop for pre-training and fine-tuning, and persistence.
 
-Both stages share one loop: mixed single-dataset batches, masked BCE on
-next-response predictions, Adam with optional global-norm clipping, and
-early stopping on mean validation AUC. Fine-tuning may pass an
-ImportanceProfile, in which case every backward pass is followed by
-gradient modulation before the optimizer step; the forward pass is never
-altered.
+``fit`` is the only training entry point. It runs mixed single-dataset
+batches, masked BCE on next-response predictions, Adam with optional
+global-norm clipping, and early stopping on mean validation AUC, then
+leaves the model at its best parameters and returns them as a
+checkpoint. Pre-training passes several rich datasets; fine-tuning
+passes one target the model's vocabulary already covers (adapt it
+first) and may pass an ImportanceProfile, in which case every backward
+pass is followed by gradient modulation before the optimizer step; the
+forward pass is never altered.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ import numpy as np
 from .autograd import NumericalError, Tape, bce_loss
 from .data import DatasetSpec, GlobalVocab, mix_batches, pack_segments
 from .importance import freeze_masks, modulate
-from .metrics import auc as auc_metric
-from .metrics import collect_predictions
+from .metrics import evaluate
 from .model import KTModel, ModelConfig, _parameter_specs
 
 logger = logging.getLogger(__name__)
@@ -290,21 +292,21 @@ def _malformed(path, exc):
 # the loop
 
 
-def _validation_auc(model, datasets, batch_size):
-    scores = []
-    for prepared in datasets:
-        probs, labels = collect_predictions(
-            model, prepared.splits.valid, prepared.spec.dataset_index, batch_size)
-        scores.append(auc_metric(probs, labels))
-    return float(np.mean(scores)), scores
-
-
 def fit(model, datasets, config, profile=None, stage="train"):
-    """Shared optimization loop; returns the best-validation checkpoint."""
+    """Train ``model`` in place; return its best-validation checkpoint.
+
+    On return the model holds the best parameters, the same values the
+    checkpoint stores. ``stage`` only labels the log and the metadata.
+    """
+    entries = {(name, idx) for name, idx, _, _ in model.vocab.entries}
     for prepared in datasets:
         if not prepared.splits.train or not prepared.splits.valid:
             raise ValueError(f"dataset {prepared.spec.name!r} needs non-empty "
                              "train and valid splits")
+        key = (prepared.spec.name, prepared.spec.dataset_index)
+        if key not in entries:
+            raise ValueError(f"dataset {key} not in the checkpoint vocabulary; "
+                             "adapt the model first")
     masks = None
     gated = None
     if profile is not None:
@@ -329,8 +331,8 @@ def fit(model, datasets, config, profile=None, stage="train"):
             model.zero_grad()
             try:
                 with Tape() as tape:
-                    probs = model.forward_batch(batch, train=True, rng=drop_rng,
-                                                drop_p=config.dropout)
+                    probs = model.forward_batch(batch, drop_p=config.dropout,
+                                                rng=drop_rng)
                     loss = bce_loss(probs, batch.targets, batch.pred_mask)
             except NumericalError as exc:
                 raise TrainingDivergedError(epoch, step, history) from exc
@@ -347,7 +349,10 @@ def fit(model, datasets, config, profile=None, stage="train"):
             adam.step(grads, frozen=masks)
             history.append(loss_val)
             step += 1
-        val_auc, per_dataset = _validation_auc(model, datasets, config.batch_size)
+        reports = evaluate(model, [(d.spec.name, d.spec.dataset_index, "valid",
+                                    d.splits.valid) for d in datasets],
+                           batch_size=config.batch_size)
+        val_auc = float(np.mean([r.auc for r in reports]))
         val_history.append(val_auc)
         improved, should_stop = stopper.update(val_auc, epoch)
         if improved:
@@ -370,24 +375,3 @@ def fit(model, datasets, config, profile=None, stage="train"):
     }
     return Checkpoint.from_model(model, [d.spec for d in datasets], metadata)
 
-
-def pretrain(model, datasets, config):
-    """Joint pre-training over one or more rich datasets."""
-    return fit(model, datasets, config, profile=None, stage="pretrain")
-
-
-def finetune(checkpoint, dataset, config, profile=None, dtype=np.float32):
-    """Continue training a checkpoint on one dataset.
-
-    The checkpoint's vocabulary must already cover the dataset (use
-    ``zero_shot_adapt`` on an unseen one before saving/passing it here).
-    When ``profile`` is given, gradients are importance-modulated after
-    every backward pass.
-    """
-    model = checkpoint.build_model(dtype=dtype)
-    entries = {(name, idx) for name, idx, _, _ in model.vocab.entries}
-    key = (dataset.spec.name, dataset.spec.dataset_index)
-    if key not in entries:
-        raise ValueError(f"dataset {key} not in the checkpoint vocabulary; "
-                         "adapt the model first")
-    return fit(model, [dataset], config, profile=profile, stage="finetune")

@@ -22,7 +22,7 @@ from kttrace.data import (
 from kttrace.importance import compute_importance
 from kttrace.metrics import evaluate
 from kttrace.model import KTModel, ModelConfig, zero_shot_adapt
-from kttrace.train import Checkpoint, TrainConfig, finetune, fit, pretrain
+from kttrace.train import Checkpoint, TrainConfig, fit
 
 
 def make_dataset(name, index, n_students, n_questions, n_kcs, seed):
@@ -72,7 +72,7 @@ def run_transfer_experiment(seeds=(0, 1, 2), n_rich_students=2000,
     pre_cfg = TrainConfig(learning_rate=1e-3, dropout=0.1,
                           max_epochs=pretrain_epochs, patience=pretrain_epochs,
                           batch_size=128, seed=1)
-    pre_ckpt = pretrain(model, rich, pre_cfg)
+    pre_ckpt = fit(model, rich, pre_cfg, stage="pretrain")
     result = TransferResult(pretrain_seconds=time.time() - t0)
 
     adapted = zero_shot_adapt(pre_ckpt.build_model(), "low", low.n_questions,
@@ -90,10 +90,11 @@ def run_transfer_experiment(seeds=(0, 1, 2), n_rich_students=2000,
         ft_cfg = TrainConfig(learning_rate=1e-3, dropout=0.1,
                              max_epochs=finetune_epochs, patience=5,
                              batch_size=128, seed=seed)
-        plain = finetune(adapted_ckpt, low, ft_cfg)
+        plain = fit(adapted_ckpt.build_model(), [low], ft_cfg, stage="finetune")
         result.finetuned.append(test_auc_of(plain, low))
 
-        impt = finetune(adapted_ckpt, low, ft_cfg, profile=profile)
+        impt = fit(adapted_ckpt.build_model(), [low], ft_cfg, profile=profile,
+                   stage="finetune")
         result.finetuned_importance.append(test_auc_of(impt, low))
 
         scratch_cfg = ModelConfig(n_layers=n_layers, d_model=d_model, n_head=4,

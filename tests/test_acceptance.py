@@ -38,9 +38,8 @@ from kttrace.train import (
     CheckpointTruncatedError,
     CheckpointVersionError,
     TrainConfig,
-    finetune,
+    fit,
     load_checkpoint,
-    pretrain,
     save_checkpoint,
 )
 from helpers import finite_diff, hand_sequences, max_rel_err, tiny_vocab
@@ -112,12 +111,12 @@ def test_criterion_02_gradients_match_finite_differences():
             batch = pack_segments(hand_sequences(), vocab, 0, dtype=np.float64)
 
             def loss_value():
-                probs = model.forward_batch(batch, train=False, drop_p=0.0)
+                probs = model.forward_batch(batch)
                 return bce_loss(probs, batch.targets, batch.pred_mask).item()
 
             model.zero_grad()
             with Tape() as tape:
-                probs = model.forward_batch(batch, train=False, drop_p=0.0)
+                probs = model.forward_batch(batch)
                 loss = bce_loss(probs, batch.targets, batch.pred_mask)
             tape.backward(loss)
 
@@ -156,13 +155,13 @@ def test_criterion_05_identity_property(tmp_path):
     with criterion(5, "all-ones profile fine-tunes bit-identically to plain"):
         prepared = tiny_prepared()
         model = training_model(prepared)
-        base = pretrain(model, [prepared],
-                        quiet_train_config(max_epochs=2, patience=10, batch_size=8, seed=1))
+        base = fit(model, [prepared],
+                   quiet_train_config(max_epochs=2, patience=10, batch_size=8, seed=1))
         # 2 batches/epoch x 5 epochs = 10 optimizer steps
         cfg = quiet_train_config(max_epochs=5, patience=100, batch_size=8, seed=9)
-        plain = finetune(base, prepared, cfg)
-        ones = finetune(base, prepared, cfg,
-                        profile=constant_profile(base.build_model(), 1.0))
+        plain = fit(base.build_model(), [prepared], cfg)
+        ones = fit(base.build_model(), [prepared], cfg,
+                   profile=constant_profile(base.build_model(), 1.0))
         p1, p2 = tmp_path / "plain.lrkt", tmp_path / "ones.lrkt"
         save_checkpoint(plain, p1)
         save_checkpoint(ones, p2)
@@ -173,13 +172,13 @@ def test_criterion_06_freeze_property():
     with criterion(6, "all-zeros profile freezes every gated sublayer"):
         prepared = tiny_prepared()
         model = training_model(prepared)
-        base = pretrain(model, [prepared],
-                        quiet_train_config(max_epochs=2, patience=10, batch_size=8, seed=1))
+        base = fit(model, [prepared],
+                   quiet_train_config(max_epochs=2, patience=10, batch_size=8, seed=1))
         # 2 batches/epoch x 25 epochs = 50 optimizer steps
-        tuned = finetune(base, prepared,
-                         quiet_train_config(max_epochs=25, patience=100,
-                                            batch_size=8, seed=3),
-                         profile=constant_profile(base.build_model(), 0.0))
+        tuned = fit(base.build_model(), [prepared],
+                    quiet_train_config(max_epochs=25, patience=100,
+                                       batch_size=8, seed=3),
+                    profile=constant_profile(base.build_model(), 0.0))
         gated = {n for names in base.build_model().gated_layers().values()
                  for n in names}
         for name in gated:

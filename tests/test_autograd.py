@@ -62,14 +62,14 @@ def test_mean_over_axis_value():
 
 def test_dropout_eval_is_identity():
     x = Tensor(np.ones((3, 4)))
-    out = dropout(x, 0.5, np.random.default_rng(0), train=False)
+    out = dropout(x, 0.0, None)
     assert out is x
 
 
 def test_dropout_train_scales_kept_units():
     rng = np.random.default_rng(1)
     x = Tensor(np.ones((100, 100)))
-    out = dropout(x, 0.25, rng, train=True)
+    out = dropout(x, 0.25, rng)
     kept = out.data[out.data != 0]
     np.testing.assert_allclose(kept, 1 / 0.75, rtol=1e-6)
     # empirical keep rate close to 0.75
@@ -299,7 +299,7 @@ def test_grad_dropout_with_fixed_mask():
 
     def build(t):
         # fresh generator each call so FD re-evaluations see the same mask
-        return scalarize(sigmoid(dropout(t["x"], 0.4, np.random.default_rng(99), train=True)))
+        return scalarize(sigmoid(dropout(t["x"], 0.4, np.random.default_rng(99))))
 
     check_op_grads(build, arrays)
 
@@ -347,7 +347,7 @@ def test_determinism_bitwise():
         w = Tensor(rng.normal(size=(8, 8)).astype(np.float32), requires_grad=True)
         with Tape() as tape:
             h = causal_attention(matmul(x, w), x, x, n_head=2)
-            h = dropout(h, 0.3, np.random.default_rng(7), train=True)
+            h = dropout(h, 0.3, np.random.default_rng(7))
             loss = scalarize(sigmoid(h))
         tape.backward(loss)
         return loss.data.copy(), x.grad.copy(), w.grad.copy()
@@ -380,8 +380,8 @@ def test_every_public_function_runs_in_a_gated_training_step(monkeypatch):
     model, vocab = build_tiny(n_layers=2)
     batch = pack_segments(hand_sequences(), vocab, 0, dtype=model.dtype)
     with Tape() as tape:
-        probs = model.forward_batch(batch, gates=model.make_gates(), train=True,
-                                    rng=np.random.default_rng(0), drop_p=0.1)
+        probs = model.forward_batch(batch, gates=model.make_gates(), drop_p=0.1,
+                                    rng=np.random.default_rng(0))
         loss = ag.bce_loss(probs, batch.targets, batch.pred_mask)
     tape.backward(loss)
     assert sorted(set(public) - called) == []

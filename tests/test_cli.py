@@ -117,6 +117,22 @@ def test_wrong_type_config_value_is_usage_error(pipeline, capsys, command, secti
     assert code == 1
 
 
+def test_eval_of_all_datasets_matches_one_call_per_dataset(pipeline, capsys):
+    root, ckpt, _ = pipeline
+    cfg = str(root / "config.json")
+    code, together = run_cli(capsys, "eval", "--config", cfg, "--checkpoint", str(ckpt),
+                             "--out", str(root / "eval-all"))
+    assert code == 0
+    separate = []
+    for name in ("rich0", "low"):  # low is unseen: eval adapts the model to it
+        code, summary = run_cli(capsys, "eval", "--config", cfg, "--checkpoint", str(ckpt),
+                                "--dataset", name, "--out", str(root / f"eval-{name}"))
+        assert code == 0
+        separate += summary["results"]
+    assert together["results"] == separate
+    assert {r["dataset"] for r in separate} == {"rich0", "low"}
+
+
 def _without(obj, key):
     return {k: v for k, v in obj.items() if k != key}
 

@@ -194,13 +194,17 @@ def test_padding_invariance():
 def test_model_runs_in_its_own_dtype(dtype):
     model, vocab = build_tiny(dtype=dtype, n_layers=2)
     batch = pack_segments(hand_sequences(), vocab, 0, dtype=model.dtype)
+    gates = model.make_gates()
     with Tape() as tape:
-        probs = model.forward_batch(batch)
+        probs = model.forward_batch(batch, gates=gates, drop_p=0.1,
+                                    rng=np.random.default_rng(0))
         loss = bce_loss(probs, batch.targets, batch.pred_mask)
     tape.backward(loss)
     assert probs.dtype == dtype and loss.dtype == dtype
     for name, t in model.parameters().items():
         assert t.grad.dtype == dtype, name
+    for lid, gate in gates.items():
+        assert gate.captured_grad.dtype == dtype, lid
 
 
 def test_eval_forward_deterministic():
@@ -215,7 +219,7 @@ def test_train_forward_requires_rng_for_dropout():
     model, vocab = build_tiny()
     batch = pack_segments(hand_sequences(), vocab, 0, dtype=model.dtype)
     with pytest.raises(ValueError, match="rng"):
-        model.forward_batch(batch, train=True, drop_p=0.5)
+        model.forward_batch(batch, drop_p=0.5)
 
 
 # ---------------------------------------------------------------------------

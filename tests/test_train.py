@@ -24,10 +24,8 @@ from kttrace.train import (
     TrainConfig,
     TrainingDivergedError,
     clip_gradients,
-    finetune,
     fit,
     load_checkpoint,
-    pretrain,
     save_checkpoint,
     stage_seed,
 )
@@ -221,7 +219,10 @@ def test_pretrain_reduces_loss_and_keeps_best():
     prepared = make_prepared()
     model, _ = model_for([prepared])
     initial_loss = eval_train_loss(model, prepared)
-    ckpt = pretrain(model, [prepared], quiet_config(max_epochs=30, patience=30))
+    ckpt = fit(model, [prepared], quiet_config(max_epochs=30, patience=30))
+    # fit leaves the model holding exactly the parameters it returns
+    for name, t in model.parameters().items():
+        assert t.data.tobytes() == ckpt.params[name].tobytes(), name
     assert eval_train_loss(ckpt.build_model(), prepared) < initial_loss
     assert ckpt.metadata["best_val_auc"] == max(ckpt.metadata["val_auc_history"])
     # restored parameters really are the best ones: re-evaluating the
@@ -236,7 +237,7 @@ def test_pretrain_deterministic_bitwise(tmp_path):
 
     def run(path):
         model, _ = model_for([prepared], seed=3)
-        ckpt = pretrain(model, [prepared], quiet_config(max_epochs=3, seed=5))
+        ckpt = fit(model, [prepared], quiet_config(max_epochs=3, seed=5))
         save_checkpoint(ckpt, path)
 
     run(tmp_path / "a.lrkt")
@@ -247,7 +248,7 @@ def test_pretrain_deterministic_bitwise(tmp_path):
 def test_pretrain_mixes_multiple_datasets():
     rich = [make_prepared("d0", 0, seed=0), make_prepared("d1", 1, seed=1)]
     model, _ = model_for(rich)
-    ckpt = pretrain(model, rich, quiet_config(max_epochs=2))
+    ckpt = fit(model, rich, quiet_config(max_epochs=2))
     assert [s.name for s in ckpt.dataset_specs] == ["d0", "d1"]
     assert len(ckpt.metadata["val_auc_history"]) == 2
 
@@ -255,12 +256,12 @@ def test_pretrain_mixes_multiple_datasets():
 def test_finetune_identity_property_all_ones(tmp_path):
     prepared = make_prepared()
     model, _ = model_for([prepared])
-    base = pretrain(model, [prepared], quiet_config(max_epochs=2))
+    base = fit(model, [prepared], quiet_config(max_epochs=2))
 
     cfg = quiet_config(max_epochs=5, patience=50, seed=9)
-    plain = finetune(base, prepared, cfg)
-    ones = finetune(base, prepared, cfg,
-                    profile=constant_profile(base.build_model(), 1.0))
+    plain = fit(base.build_model(), [prepared], cfg)
+    ones = fit(base.build_model(), [prepared], cfg,
+               profile=constant_profile(base.build_model(), 1.0))
     p1, p2 = tmp_path / "plain.lrkt", tmp_path / "ones.lrkt"
     save_checkpoint(plain, p1)
     save_checkpoint(ones, p2)
@@ -270,11 +271,11 @@ def test_finetune_identity_property_all_ones(tmp_path):
 def test_finetune_freeze_property_all_zeros():
     prepared = make_prepared()
     model, _ = model_for([prepared])
-    base = pretrain(model, [prepared], quiet_config(max_epochs=2))
+    base = fit(model, [prepared], quiet_config(max_epochs=2))
     zeros = constant_profile(base.build_model(), 0.0)
     # 2 batches/epoch x 25 epochs = 50 optimizer steps, no early stop
-    ckpt = finetune(base, prepared, quiet_config(max_epochs=25, patience=100),
-                    profile=zeros)
+    ckpt = fit(base.build_model(), [prepared],
+               quiet_config(max_epochs=25, patience=100), profile=zeros)
     tuned_model = ckpt.build_model()
     gated = {n for names in tuned_model.gated_layers().values() for n in names}
     for name in gated:
@@ -312,10 +313,9 @@ def test_single_step_row_level_freeze():
 def test_finetune_rejects_uncovered_dataset():
     prepared = make_prepared()
     model, _ = model_for([prepared])
-    ckpt = pretrain(model, [prepared], quiet_config(max_epochs=1))
     alien = make_prepared("other", 1, seed=3)
     with pytest.raises(ValueError, match="not in the checkpoint vocabulary"):
-        finetune(ckpt, alien, quiet_config(max_epochs=1))
+        fit(model, [alien], quiet_config(max_epochs=1))
 
 
 def test_divergence_reports_epoch_and_history():
