@@ -230,16 +230,17 @@ def mul(a, b):
 
 
 def matmul(a, b, transpose_b=False):
-    """``a @ b``, or ``a @ b.T`` over the last two axes when ``transpose_b``.
+    """``a @ b``, or ``a @ b.T`` when ``transpose_b``.
 
-    ``b`` may be 2-D (a weight shared across leading batch axes of ``a``)
-    or match ``a``'s rank for a batched product.
+    ``b`` is a 2-D weight shared across the leading axes of ``a``, which
+    is at least 2-D.
     """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul: operands must be at least 2-D, got {a.shape} and {b.shape}")
-    b_eff = np.swapaxes(b.data, -1, -2) if transpose_b else b.data
-    if a.shape[-1] != b_eff.shape[-2]:
+    if a.ndim < 2 or b.ndim != 2:
+        raise ShapeError(f"matmul: a must be at least 2-D and b 2-D, "
+                         f"got {a.shape} and {b.shape}")
+    b_eff = b.data.T if transpose_b else b.data
+    if a.shape[-1] != b_eff.shape[0]:
         raise ShapeError(f"matmul: inner dimensions of {a.shape} and {b.shape} do not match"
                          + (" (transpose_b)" if transpose_b else ""))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -248,17 +249,11 @@ def matmul(a, b, transpose_b=False):
     out = Tensor(data)
 
     def bwd(g):
-        ga = np.matmul(g, np.swapaxes(b_eff, -1, -2))
-        if b.ndim == 2:
-            g2 = g.reshape(-1, g.shape[-1])
-            a2 = a.data.reshape(-1, a.shape[-1])
-            gb = g2.T @ a2 if transpose_b else a2.T @ g2
-        else:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            if transpose_b:
-                gb = np.swapaxes(gb, -1, -2)
-            gb = _reduce_to(gb, b.shape)
-        return _reduce_to(ga, a.shape), gb
+        ga = np.matmul(g, b_eff.T)
+        g2 = g.reshape(-1, g.shape[-1])
+        a2 = a.data.reshape(-1, a.shape[-1])
+        gb = g2.T @ a2 if transpose_b else a2.T @ g2
+        return ga, gb
 
     return _record(out, (a, b), bwd)
 

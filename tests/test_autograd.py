@@ -206,6 +206,8 @@ def test_no_tape_means_no_recording():
 def test_shape_error_names_op_and_shapes():
     with pytest.raises(ShapeError, match=r"matmul.*\(2, 3\).*\(4, 5\)"):
         matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
+    with pytest.raises(ShapeError, match=r"matmul.*\(2, 3, 4\)"):
+        matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 4, 5))))
     with pytest.raises(ShapeError, match=r"add.*\(2, 3\)"):
         add(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
 
