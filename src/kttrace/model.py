@@ -45,6 +45,14 @@ class ModelConfig:
     n_datasets: int = 0
 
     def validate(self):
+        for name in ("n_layers", "d_model", "n_head", "d_ff", "max_seq_len",
+                     "n_questions", "n_kcs", "n_datasets"):
+            value = getattr(self, name)
+            least = 0 if name in ("n_questions", "n_kcs", "n_datasets") else 1
+            # bool is an int subclass, but no size is a flag
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+                    or value < least:
+                raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
         if self.d_model % self.n_head != 0:
             raise ValueError(
                 f"d_model {self.d_model} must be divisible by n_head {self.n_head}")
@@ -74,9 +82,9 @@ class ModelConfig:
 
 
 def _parameter_specs(config, vocab):
-    """Declared (name, shape, kind) list; the flat order is the checkpoint order."""
+    """Yield the declared (name, shape, kind) triples in checkpoint order."""
     d, f = config.d_model, config.d_ff
-    specs = [
+    yield from [
         ("emb.question", (vocab.n_question_rows, d), "weight"),
         ("emb.kc", (vocab.n_kc_rows, d), "weight"),
         ("emb.response", (2, d), "weight"),
@@ -85,7 +93,7 @@ def _parameter_specs(config, vocab):
         ("emb.position", (config.max_seq_len, d), "weight"),
     ]
     for i in range(config.n_layers):
-        specs += [
+        yield from [
             (f"block{i}.ln1.gain", (d,), "gain"),
             (f"block{i}.ln1.bias", (d,), "bias"),
             (f"block{i}.attn.wq", (d, d), "weight"),
@@ -103,7 +111,7 @@ def _parameter_specs(config, vocab):
             (f"block{i}.output.w", (d, f), "weight"),
             (f"block{i}.output.b", (d,), "bias"),
         ]
-    specs += [
+    yield from [
         ("final_ln.gain", (d,), "gain"),
         ("final_ln.bias", (d,), "bias"),
         ("head.w1", (f, d), "weight"),
@@ -111,7 +119,6 @@ def _parameter_specs(config, vocab):
         ("head.w2", (1, f), "weight"),
         ("head.b2", (1,), "bias"),
     ]
-    return specs
 
 
 def parameter_count(config, vocab):

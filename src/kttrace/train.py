@@ -20,6 +20,7 @@ import struct
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -266,8 +267,10 @@ def load_checkpoint(path):
         dataset_specs = [DatasetSpec(d["name"], d["dataset_index"], d["path"])
                          for d in obj["dataset_specs"]]
         metadata = dict(obj["metadata"])
+        # one spec past the manifest is enough to tell it short, and bounds
+        # the work however many layers the config declares
         declared, offset = [], 0
-        for name, shape, _ in _parameter_specs(config, vocab):
+        for name, shape, _ in islice(_parameter_specs(config, vocab), len(manifest) + 1):
             declared.append({"name": name, "shape": list(shape), "offset": offset})
             offset += 4 * int(np.prod(shape))
     except (KeyError, TypeError, ValueError) as exc:

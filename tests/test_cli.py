@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import kttrace
 from kttrace.cli import main
 from kttrace.model import KTModel
 
@@ -117,6 +122,17 @@ def test_wrong_type_config_value_is_usage_error(pipeline, capsys, command, secti
     assert code == 1
 
 
+@pytest.mark.parametrize("model", [
+    {"n_layers": 1, "d_model": 16, "n_head": 0, "d_ff": 16},
+    {"n_layers": 1, "d_model": 16, "n_head": 3, "d_ff": 16},
+], ids=["zero-heads", "indivisible-heads"])
+def test_bad_model_size_is_data_error(pipeline, capsys, model):
+    root, _, _ = pipeline
+    path = write_config(root, name="sized.json", datasets=PIPELINE_DATASETS, model=model)
+    code, _ = run_cli(capsys, "pretrain", "--config", str(path))
+    assert code == 2
+
+
 def test_eval_of_all_datasets_matches_one_call_per_dataset(pipeline, capsys):
     root, ckpt, _ = pipeline
     cfg = str(root / "config.json")
@@ -191,21 +207,40 @@ def _checkpoint_with_header(header_obj):
             + hashlib.sha256(header).digest())
 
 
+def _eval_in_child(config, checkpoint, limit=1 << 30):
+    """``kttrace eval`` in a child process with ``limit`` bytes of address space."""
+    script = ("import resource, sys\n"
+              "from kttrace.cli import main\n"
+              f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+              f"sys.exit(main(['eval', '--config', {str(config)!r}, "
+              f"'--checkpoint', {str(checkpoint)!r}]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(kttrace.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
 def test_corrupt_checkpoint_is_data_error(tmp_path, capsys):
     path = write_config(tmp_path)
     fields = {"config": {}, "vocab": {"datasets": []}, "dataset_specs": [],
               "metadata": {}}
+    sized = dict(fields, manifest=[],
+                 vocab={"datasets": [{"name": "low", "dataset_index": 0,
+                                      "n_questions": 3, "n_kcs": 2}]})
+
+    def model(**sizes):
+        return dict(sized, config={"n_layers": 1, "d_model": 4, "n_head": 2, "d_ff": 4,
+                                   **sizes})
+
     inputs = {
         "bad-magic": b"NOPE" + b"\x00" * 64,
         "no-manifest": _checkpoint_with_header(fields),
         "mistyped-shape": _checkpoint_with_header(
             dict(fields, manifest=[{"name": "emb.question", "shape": "x", "offset": 0}])),
         "no-config": _checkpoint_with_header(dict(_without(fields, "config"), manifest=[])),
-        "manifest-mismatch": _checkpoint_with_header(dict(
-            fields, manifest=[],
-            config={"n_layers": 1, "d_model": 4, "n_head": 2, "d_ff": 4},
-            vocab={"datasets": [{"name": "low", "dataset_index": 0,
-                                 "n_questions": 3, "n_kcs": 2}]})),
+        "manifest-mismatch": _checkpoint_with_header(model()),
+        "zero-heads": _checkpoint_with_header(model(n_head=0)),
+        "huge-width": _checkpoint_with_header(model(d_model=1e300)),
     }
     for case, blob in inputs.items():
         bad = tmp_path / f"{case}.lrkt"
@@ -213,6 +248,14 @@ def test_corrupt_checkpoint_is_data_error(tmp_path, capsys):
         code, _ = run_cli(capsys, "eval", "--config", str(path),
                           "--checkpoint", str(bad))
         assert code == 2, case
+
+    # listing 10**12 layers' parameters would exhaust memory; the child's
+    # address-space limit turns that into a MemoryError instead
+    bad = tmp_path / "many-layers.lrkt"
+    bad.write_bytes(_checkpoint_with_header(model(n_layers=10 ** 12)))
+    child = _eval_in_child(path, bad)
+    assert child.returncode == 2, child.stderr[-2000:]
+    assert "Traceback" not in child.stderr
 
 
 # ---------------------------------------------------------------------------
