@@ -45,13 +45,13 @@ class ModelConfig:
     n_datasets: int = 0
 
     def validate(self):
-        for name in ("n_layers", "d_model", "n_head", "d_ff", "max_seq_len",
-                     "n_questions", "n_kcs", "n_datasets"):
+        # the counts stay 0 until sized_for a vocabulary; bool is an int
+        # subclass, but no size is a flag
+        for name, least in (("n_layers", 1), ("d_model", 1), ("n_head", 1), ("d_ff", 1),
+                            ("max_seq_len", 1), ("n_questions", 0), ("n_kcs", 0),
+                            ("n_datasets", 0)):
             value = getattr(self, name)
-            least = 0 if name in ("n_questions", "n_kcs", "n_datasets") else 1
-            # bool is an int subclass, but no size is a flag
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-                    or value < least:
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
                 raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
         if self.d_model % self.n_head != 0:
             raise ValueError(

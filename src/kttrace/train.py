@@ -20,7 +20,6 @@ import struct
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -267,10 +266,12 @@ def load_checkpoint(path):
         dataset_specs = [DatasetSpec(d["name"], d["dataset_index"], d["path"])
                          for d in obj["dataset_specs"]]
         metadata = dict(obj["metadata"])
-        # one spec past the manifest is enough to tell it short, and bounds
-        # the work however many layers the config declares
         declared, offset = [], 0
-        for name, shape, _ in islice(_parameter_specs(config, vocab), len(manifest) + 1):
+        for name, shape, _ in _parameter_specs(config, vocab):
+            # one spec past the manifest tells it short, and bounds the
+            # work however many layers the config declares
+            if len(declared) > len(manifest):
+                break
             declared.append({"name": name, "shape": list(shape), "offset": offset})
             offset += 4 * int(np.prod(shape))
     except (KeyError, TypeError, ValueError) as exc:
@@ -298,8 +299,8 @@ def _malformed(path, exc):
 def fit(model, datasets, config, profile=None, stage="train"):
     """Train ``model`` in place; return its best-validation checkpoint.
 
-    On return the model holds the best parameters, the same values the
-    checkpoint stores. ``stage`` only labels the log and the metadata.
+    On return the model holds the best parameters, which the checkpoint
+    stores as float32. ``stage`` only labels the log and the metadata.
     """
     entries = {(name, idx) for name, idx, _, _ in model.vocab.entries}
     for prepared in datasets:
