@@ -12,7 +12,12 @@ same machinery, so their gradients can be read off without ever being
 applied as an update.
 
 Float32 is the working precision; float64 exists for verification
-(finite-difference checks are unreliable at 32-bit).
+(finite-difference checks are unreliable at 32-bit). Over every finite
+float32 input (NumPy 2.4), a float32 ``sigmoid`` is within 6.0e-8
+absolute of the exact logistic, and the tests hold it to 1.2e-7. It
+steps down once as its input grows, by 2**-25: float32 ``tanh(-1.5)`` is
+one unit in the last place too high, so ``sigmoid(-3)`` lies above
+``sigmoid`` of the next float32 up.
 """
 
 from __future__ import annotations
@@ -271,26 +276,34 @@ def embedding_lookup(table, ids):
     out = Tensor(table.data[ids])
 
     def bwd(g):
+        # sort the rows of g by id, stably, and sum each id's run in one pass
+        order = np.argsort(ids, axis=None, kind="stable")
+        rows, starts = np.unique(ids.reshape(-1)[order], return_index=True)
         gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.shape[1]))
+        gt[rows] = np.add.reduceat(g.reshape(-1, table.shape[1])[order], starts, axis=0)
         return (gt,)
 
     return _record(out, (table,), bwd)
 
 
 def sigmoid(x):
+    """``1/(1+exp(-x))`` as ``0.5 + 0.5*tanh(x/2)``, in ``x``'s dtype.
+
+    tanh saturates to +-1 instead of overflowing, so no input needs a
+    separate branch.
+    """
     x = _as_tensor(x)
-    d = x.data
-    data = np.empty_like(d)
-    pos = d >= 0
-    data[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    data[~pos] = ex / (1.0 + ex)
+    data = np.tanh(x.data * 0.5)
+    data *= 0.5
+    data += 0.5
     _check_finite("sigmoid", data)
     out = Tensor(data)
 
     def bwd(g):
-        return (g * data * (1.0 - data),)
+        gx = 1.0 - data
+        gx *= data
+        gx *= g
+        return (gx,)
 
     return _record(out, (x,), bwd)
 
@@ -388,12 +401,13 @@ def causal_attention(q, k, v, n_head):
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     with np.errstate(over="ignore", invalid="ignore"):
-        scores = np.matmul(qh, np.swapaxes(kh, -1, -2)) * scale
-        causal = np.triu(np.full((T, T), MASK_FILL, dtype=scores.dtype), k=1)
-        scores = scores + causal
-        shifted = scores - scores.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        attn = e / e.sum(axis=-1, keepdims=True)
+        # scores become probabilities in place, in the one [B,H,T,T] buffer
+        attn = np.matmul(qh, np.swapaxes(kh, -1, -2))
+        attn *= scale
+        attn += np.triu(np.full((T, T), MASK_FILL, dtype=attn.dtype), k=1)
+        attn -= attn.max(axis=-1, keepdims=True)
+        np.exp(attn, out=attn)
+        attn /= attn.sum(axis=-1, keepdims=True)
         ctx = np.matmul(attn, vh)
     data = ctx.transpose(0, 2, 1, 3).reshape(B, T, D)
     _check_finite("causal_attention", data)
@@ -404,9 +418,12 @@ def causal_attention(q, k, v, n_head):
         g_attn = np.matmul(go, np.swapaxes(vh, -1, -2))
         gv = np.matmul(np.swapaxes(attn, -1, -2), go)
         inner = (g_attn * attn).sum(axis=-1, keepdims=True)
-        gs = attn * (g_attn - inner)
-        gq = np.matmul(gs, kh) * scale
-        gk = np.matmul(np.swapaxes(gs, -1, -2), qh) * scale
+        g_attn -= inner
+        g_attn *= attn  # now the gradient of the scaled scores
+        gq = np.matmul(g_attn, kh)
+        gq *= scale
+        gk = np.matmul(np.swapaxes(g_attn, -1, -2), qh)
+        gk *= scale
 
         def merge(x):
             return x.transpose(0, 2, 1, 3).reshape(B, T, D)
