@@ -241,18 +241,21 @@ def write_prepared(cfg, name, entry, splits, n_questions, n_kcs):
     return meta
 
 
-def read_prepared(cfg, name):
+def read_prepared(cfg, name, splits):
+    """Load a prepared dataset, parsing only the split names in ``splits``.
+
+    Every other split is left empty, so a stage pays only for what it reads.
+    """
     d = cfg.prepared_dir(name)
     meta_path = d / "meta.json"
     if not meta_path.exists():
         raise UsageError(f"dataset {name!r} is not prepared (missing {meta_path}); "
                          "run the preprocess command first")
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    splits = Splits(train=ingest(d / "train.txt"),
-                    valid=ingest(d / "valid.txt"),
-                    test=ingest(d / "test.txt"))
+    parsed = Splits(**{split: ingest(d / f"{split}.txt") if split in splits else []
+                       for split in ("train", "valid", "test")})
     spec = DatasetSpec(meta["name"], meta["dataset_index"], str(d))
-    return PreparedDataset(spec=spec, splits=splits,
+    return PreparedDataset(spec=spec, splits=parsed,
                            n_questions=meta["n_questions"], n_kcs=meta["n_kcs"])
 
 
@@ -343,13 +346,9 @@ def cmd_preprocess(cfg, args):
     return {"command": "preprocess", "datasets": summary}
 
 
-def _load_role(cfg, role):
-    out = [read_prepared(cfg, e["name"]) for e in cfg.datasets if e["role"] == role]
-    return out
-
-
 def cmd_pretrain(cfg, args):
-    datasets = _load_role(cfg, "pretrain")
+    datasets = [read_prepared(cfg, e["name"], ("train", "valid"))
+                for e in cfg.datasets if e["role"] == "pretrain"]
     if not datasets:
         raise UsageError("no datasets with role 'pretrain' in config")
     vocab = build_vocab([d.spec for d in datasets],
@@ -373,7 +372,7 @@ def cmd_pretrain(cfg, args):
 
 def cmd_importance(cfg, args):
     ckpt = load_checkpoint(cfg.resolve(args.checkpoint))
-    prepared = read_prepared(cfg, args.dataset)
+    prepared = read_prepared(cfg, args.dataset, ("train",))
     seed = args.seed if args.seed is not None else cfg.seed
     model = adapt_if_needed(ckpt.build_model(), prepared, seed)
     batch_size = cfg.train_section.get("batch_size", TrainConfig().batch_size)
@@ -388,7 +387,7 @@ def cmd_importance(cfg, args):
 
 def cmd_finetune(cfg, args):
     ckpt = load_checkpoint(cfg.resolve(args.checkpoint))
-    prepared = read_prepared(cfg, args.dataset)
+    prepared = read_prepared(cfg, args.dataset, ("train", "valid", "test"))
     seed = args.seed if args.seed is not None else cfg.seed
     model = adapt_if_needed(ckpt.build_model(), prepared, seed)
     profile = None
@@ -424,11 +423,10 @@ def cmd_eval(cfg, args):
     reports = []
     batch_size = cfg.train_section.get("batch_size", TrainConfig().batch_size)
     base = ckpt.build_model()
-    for prepared in (read_prepared(cfg, name) for name in names):
+    for prepared in (read_prepared(cfg, name, ("valid", "test")) for name in names):
         model = adapt_if_needed(base, prepared, seed)
         splits = [(prepared.spec.name, prepared.spec.dataset_index, split, segs)
-                  for split, segs in prepared.splits
-                  if split in ("valid", "test") and segs]
+                  for split, segs in prepared.splits if segs]
         reports.extend(evaluate(model, splits, batch_size=batch_size))
     out_prefix = cfg.resolve(args.out) if args.out \
         else cfg.ensure_dir("reports") / "eval"

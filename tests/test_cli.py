@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -147,6 +148,27 @@ def test_eval_of_all_datasets_matches_one_call_per_dataset(pipeline, capsys):
         separate += summary["results"]
     assert together["results"] == separate
     assert {r["dataset"] for r in separate} == {"rich0", "low"}
+
+
+def test_eval_reads_no_train_split(pipeline, capsys, tmp_path):
+    root, ckpt, _ = pipeline
+    work = tmp_path / "copy"
+    shutil.copytree(root, work)
+    cfg = str(work / "config.json")
+    ckpt = str(work / ckpt.relative_to(root))
+
+    def report():
+        code, _ = run_cli(capsys, "eval", "--config", cfg, "--checkpoint", ckpt,
+                          "--out", str(work / "eval"))
+        assert code == 0
+        return [(work / f"eval.{ext}").read_bytes() for ext in ("json", "csv")]
+
+    before = report()
+    trains = sorted((work / "run").rglob("train.txt"))
+    assert len(trains) == len(PIPELINE_DATASETS)
+    for path in trains:
+        path.unlink()
+    assert report() == before
 
 
 def _without(obj, key):
