@@ -197,3 +197,12 @@ def oracle_gate_gradients(model, sequences, dataset_index):
 
     n = len(sequences)
     return {(0, kind): vec / n for kind, vec in acc.items()}
+
+
+def embedding_backward(n_rows, ids, g):
+    """Gradient of a row gather: each row of ``g`` added to the table row
+    its id names, one at a time in index order (``np.add.at`` is unbuffered,
+    so repeated ids accumulate)."""
+    grad = np.zeros((n_rows, g.shape[-1]), dtype=g.dtype)
+    np.add.at(grad, np.asarray(ids).reshape(-1), g.reshape(-1, g.shape[-1]))
+    return grad

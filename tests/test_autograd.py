@@ -2,6 +2,9 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import kttrace.autograd as ag
 from kttrace.autograd import (
@@ -25,6 +28,7 @@ from kttrace.autograd import (
 )
 from kttrace.data import pack_segments
 from helpers import build_tiny, finite_diff, hand_sequences, max_rel_err
+from oracles import embedding_backward
 
 
 def scalarize(t):
@@ -45,6 +49,56 @@ def test_sigmoid_at_zero():
 def test_sigmoid_saturation_is_finite():
     out = sigmoid(Tensor([-200.0, 200.0]))
     assert np.isfinite(out.data).all()
+
+
+BOUNDED = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None)
+@example([-3.0, -2.9999998], np.float32)
+@given(st.lists(BOUNDED, min_size=1, max_size=64), st.sampled_from([np.float32, np.float64]))
+def test_sigmoid_is_a_monotone_probability_in_its_dtype(values, dtype):
+    x = np.sort(np.asarray(values, dtype=dtype))
+    s = sigmoid(Tensor(x)).data
+    assert s.dtype == dtype
+    assert ((s >= 0.0) & (s <= 1.0)).all()
+    # float32 tanh(-1.5) is one unit too high, so float32 sigmoid steps down
+    # by 2**-25 between x = -3 and the next float32 up
+    slack = 2.0**-25 if dtype == np.float32 else 0.0
+    assert (np.diff(s) >= -slack).all()
+
+
+@settings(deadline=None)
+@given(arrays(np.float32, st.integers(1, 256), elements=BOUNDED.map(np.float32)))
+def test_float32_sigmoid_is_within_1_2e_7_of_float64(x):
+    with np.errstate(over="ignore"):
+        ref = 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
+    assert np.abs(sigmoid(Tensor(x)).data - ref).max() <= 1.2e-7
+
+
+@st.composite
+def lookups(draw):
+    """(table rows, width, ids, seed) with few rows, so ids repeat."""
+    rows = draw(st.integers(1, 8))
+    shape = draw(st.one_of(st.tuples(st.just(1), st.integers(1, 12)),
+                           st.lists(st.integers(0, 6), min_size=2, max_size=3).map(tuple)))
+    ids = draw(arrays(np.int64, shape, elements=st.integers(0, rows - 1)))
+    return rows, draw(st.integers(1, 5)), ids, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(deadline=None)
+@example(lookup=(2, 4, np.array([[0]]), 0))  # the model's token-type lookup
+@example(lookup=(9, 4, np.arange(9)[None], 1))  # the model's [1, T] position lookup
+@given(lookups())
+def test_embedding_backward_matches_add_at(lookup):
+    rows, width, ids, seed = lookup
+    rng = np.random.default_rng(seed)
+    table = Tensor(rng.normal(size=(rows, width)), requires_grad=True)
+    g = rng.normal(size=ids.shape + (width,))
+    with Tape() as tape:
+        embedding_lookup(table, ids)
+    (got,) = tape._nodes[-1].bwd(g)
+    np.testing.assert_allclose(got, embedding_backward(rows, ids, g), rtol=0, atol=1e-12)
 
 
 def test_layer_norm_constant_row_is_zero():
@@ -216,6 +270,51 @@ def test_nonfinite_output_raises():
     big = Tensor(np.full((2, 2), 1e300))
     with pytest.raises(NumericalError, match="matmul"):
         matmul(big, big)
+
+
+def _recorded_op(op, rng):
+    """Leaf tensors for ``op``, its other array inputs, and a call that
+    records ``op`` on them."""
+    if op == "sigmoid":
+        x = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
+        return [x], [], lambda: sigmoid(x)
+    if op == "causal_attention":
+        qkv = [Tensor(rng.normal(size=(2, 5, 6)), requires_grad=True) for _ in range(3)]
+        return qkv, [], lambda: causal_attention(*qkv, n_head=2)
+    table = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    ids = np.array([[0, 2, 2, 1], [3, 0, 2, 2]])
+    return [table], [ids], lambda: embedding_lookup(table, ids)
+
+
+@pytest.mark.parametrize("op", ["sigmoid", "causal_attention", "embedding_lookup"])
+def test_backward_reuses_no_buffer_it_does_not_own(op):
+    rng = np.random.default_rng(13)
+    leaves, constants, call = _recorded_op(op, rng)
+    with Tape() as tape:
+        out = call()
+        node = tape._nodes[-1]
+        loss = scalarize(mul(out, Tensor(rng.normal(size=out.shape))))
+    inputs = [t.data for t in leaves] + constants
+    inputs_before = [a.copy() for a in inputs]
+    forward = out.data.copy()
+    g = rng.normal(size=out.shape)
+    g_before = g.copy()
+
+    first = node.bwd(g)
+    first_copy = [a.copy() for a in first]
+    second = node.bwd(g)
+    for a, b, c in zip(first_copy, first, second):
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a, c)
+    np.testing.assert_array_equal(g, g_before)
+    np.testing.assert_array_equal(out.data, forward)
+    for a, before in zip(inputs, inputs_before):
+        np.testing.assert_array_equal(a, before)
+
+    once = {t: grad.copy() for t, grad in tape.backward(loss).items()}
+    twice = tape.backward(loss)
+    for t in leaves:
+        np.testing.assert_array_equal(twice[t], 2.0 * once[t])
 
 
 # ---------------------------------------------------------------------------
