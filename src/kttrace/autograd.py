@@ -2,14 +2,14 @@
 
 The engine is deliberately small: it provides exactly the forward
 operations the knowledge-tracing model calls (add, mul, matmul,
-embedding lookup, sigmoid, layer norm, dropout, mean over an axis, causal
-attention, gate application and the masked BCE loss), records them on an
-explicit tape, and replays the tape once per backward pass
-(:meth:`Tape.backward`). A test fails if any public function here goes
-unused by a gated training step, so dead ops do not accumulate. Virtual gate
-parameters (all-ones vectors multiplied into a layer's output) ride the
-same machinery, so their gradients can be read off without ever being
-applied as an update.
+embedding lookup, the one-step shift along time, sigmoid, layer norm,
+dropout, mean over an axis, causal attention, gate application and the
+masked BCE loss), records them on an explicit tape, and replays the tape
+once per backward pass (:meth:`Tape.backward`). A test fails if any
+public function here goes unused by a gated training step, so dead ops
+do not accumulate. Virtual gate parameters (all-ones vectors multiplied
+into a layer's output) ride the same machinery, so their gradients can
+be read off without ever being applied as an update.
 
 Float32 is the working precision; float64 exists for verification
 (finite-difference checks are unreliable at 32-bit). Over every finite
@@ -284,6 +284,24 @@ def embedding_lookup(table, ids):
         return (gt,)
 
     return _record(out, (table,), bwd)
+
+
+def next_step(x):
+    """Shift ``x`` one step back along axis 1: ``out[:, t] = x[:, t+1]``.
+
+    The last step, which has no successor, is zero.
+    """
+    x = _as_tensor(x)
+    data = np.zeros_like(x.data)
+    data[:, :-1] = x.data[:, 1:]
+    out = Tensor(data)
+
+    def bwd(g):
+        gx = np.zeros_like(g)
+        gx[:, 1:] = g[:, :-1]
+        return (gx,)
+
+    return _record(out, (x,), bwd)
 
 
 def sigmoid(x):

@@ -363,10 +363,6 @@ class PackedBatch:
     kc_mask: np.ndarray        # [B, T, K] 1.0 on real KCs
     kc_scale: np.ndarray       # [B, T, 1] K / |KC set|
     responses: np.ndarray      # [B, T]
-    next_questions: np.ndarray
-    next_kcs: np.ndarray
-    next_kc_mask: np.ndarray
-    next_kc_scale: np.ndarray
     targets: np.ndarray        # [B, T, 1] response at t+1
     pred_mask: np.ndarray      # [B, T, 1]
     lengths: np.ndarray        # [B]
@@ -399,15 +395,6 @@ def pack_segments(segments, vocab, dataset_index, dtype=np.float32):
             kc_scale[b, t, 0] = K / len(r.kc_ids)
             responses[b, t] = r.response
 
-    next_questions = np.full((B, T), pad_q, dtype=np.int64)
-    next_kcs = np.full((B, T, K), pad_c, dtype=np.int64)
-    next_kc_mask = np.zeros((B, T, K), dtype=dtype)
-    next_kc_scale = np.zeros((B, T, 1), dtype=dtype)
-    next_questions[:, :-1] = questions[:, 1:]
-    next_kcs[:, :-1] = kcs[:, 1:]
-    next_kc_mask[:, :-1] = kc_mask[:, 1:]
-    next_kc_scale[:, :-1] = kc_scale[:, 1:]
-
     targets = np.zeros((B, T, 1), dtype=dtype)
     targets[:, :-1, 0] = responses[:, 1:].astype(dtype)
     pred_mask = np.zeros((B, T, 1), dtype=dtype)
@@ -415,7 +402,6 @@ def pack_segments(segments, vocab, dataset_index, dtype=np.float32):
         pred_mask[b, :max(lengths[b] - 1, 0), 0] = 1.0
 
     return PackedBatch(dataset_index, questions, kcs, kc_mask, kc_scale, responses,
-                       next_questions, next_kcs, next_kc_mask, next_kc_scale,
                        targets, pred_mask, lengths)
 
 

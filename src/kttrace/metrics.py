@@ -1,8 +1,8 @@
 """AUC / Accuracy computation and per-dataset reporting.
 
-The fast AUC is the Mann-Whitney rank statistic with tie-halving; the
-O(n^2) pairwise count is kept alongside as the brute-force reference the
-fast path must match exactly, not approximately.
+The AUC is the Mann-Whitney rank statistic with tie-halving. The tests
+hold it exactly equal, not approximately, to a brute-force O(n^2)
+pairwise count.
 """
 
 from __future__ import annotations
@@ -75,18 +75,6 @@ def auc(probs, labels):
         raise ValueError("AUC undefined: no negative (label 0) examples")
     ranks = average_ranks(probs)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-
-
-def pairwise_auc(probs, labels):
-    """Brute-force O(n^2) reference: count wins and halved ties directly."""
-    probs, labels = _check_binary(probs, labels)
-    p = probs[labels == 1]
-    q = probs[labels == 0]
-    if len(p) == 0 or len(q) == 0:
-        raise ValueError("AUC undefined: need both classes")
-    wins = (p[:, None] > q[None, :]).sum()
-    ties = (p[:, None] == q[None, :]).sum()
-    return float((wins + ties / 2.0) / (len(p) * len(q)))
 
 
 def accuracy(probs, labels, threshold=0.5):

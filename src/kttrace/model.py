@@ -3,9 +3,10 @@
 Each interaction step is encoded as a sum of six embedding families
 (question, KC-set mean, response, data type, dataset, position) and fed
 through a pre-layer-norm stack of causal transformer decoder blocks. The
-hidden state at step j, summed with the embedding of the upcoming
-question, drives a two-layer head that predicts the probability of a
-correct response at step j+1.
+hidden state at step j, summed with step j+1's question, KC and type
+embeddings (the same sum the step encoding starts from), drives a
+two-layer head that predicts the probability of a correct response at
+step j+1.
 
 Every block exposes three gate attachment points (attention output,
 feed-forward expansion, feed-forward projection) for importance probing.
@@ -20,7 +21,6 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import GateParam, Tensor
-from .data import pack_segments
 
 INIT_STD = 0.02
 
@@ -215,14 +215,14 @@ class KTModel:
 
     # -- forward ------------------------------------------------------------
 
-    def _kc_mean(self, kc_ids, kc_mask, kc_scale):
-        e = ag.embedding_lookup(self._params["emb.kc"], kc_ids)
-        e = ag.mul(e, Tensor(kc_mask[..., None]))
-        e = ag.mean_over_axis(e, 2)
-        return ag.mul(e, Tensor(kc_scale))
-
     def encode_steps(self, batch):
-        """Sum the six embedding families into [B, T, d_model] step vectors."""
+        """Step vectors and head queries, both [B, T, d_model].
+
+        The question, KC-mean and two data-type embeddings are summed once.
+        A step vector adds the response, dataset and position embeddings to
+        that sum; the query at step t is the sum at step t+1, zero where
+        ``batch.pred_mask`` is 0.
+        """
         T = batch.questions.shape[1]
         if T > self.config.max_seq_len:
             raise ValueError(
@@ -230,32 +230,17 @@ class KTModel:
         P = self._params
         type_q = ag.embedding_lookup(P["emb.type"], np.array([[0]]))
         type_c = ag.embedding_lookup(P["emb.type"], np.array([[1]]))
-        enc = ag.embedding_lookup(P["emb.question"], batch.questions)
-        enc = ag.add(enc, type_q)
-        enc = ag.add(enc, self._kc_mean(batch.kcs, batch.kc_mask, batch.kc_scale))
-        enc = ag.add(enc, type_c)
-        enc = ag.add(enc, ag.embedding_lookup(P["emb.response"], batch.responses))
+        shared = ag.add(ag.embedding_lookup(P["emb.question"], batch.questions), type_q)
+        kc = ag.embedding_lookup(P["emb.kc"], batch.kcs)
+        kc = ag.mul(kc, Tensor(batch.kc_mask[..., None]))
+        kc = ag.mul(ag.mean_over_axis(kc, 2), Tensor(batch.kc_scale))
+        shared = ag.add(ag.add(shared, kc), type_c)
+        enc = ag.add(shared, ag.embedding_lookup(P["emb.response"], batch.responses))
         enc = ag.add(enc, ag.embedding_lookup(
             P["emb.dataset"], np.array([[batch.dataset_index]])))
         enc = ag.add(enc, ag.embedding_lookup(
             P["emb.position"], np.arange(T)[None, :]))
-        return enc
-
-    def encode_interactions(self, sequences, dataset_index):
-        """Spec'd convenience: pack then encode a batch of sequences."""
-        batch = pack_segments(sequences, self.vocab, dataset_index, dtype=self.dtype)
-        return self.encode_steps(batch)
-
-    def encode_queries(self, batch):
-        """Next-question conditioning: question + KC + data type, no response."""
-        P = self._params
-        type_q = ag.embedding_lookup(P["emb.type"], np.array([[0]]))
-        type_c = ag.embedding_lookup(P["emb.type"], np.array([[1]]))
-        q = ag.embedding_lookup(P["emb.question"], batch.next_questions)
-        q = ag.add(q, type_q)
-        q = ag.add(q, self._kc_mean(batch.next_kcs, batch.next_kc_mask,
-                                    batch.next_kc_scale))
-        return ag.add(q, type_c)
+        return enc, ag.mul(ag.next_step(shared), Tensor(batch.pred_mask))
 
     def _linear(self, x, w, b):
         return ag.add(ag.matmul(x, self._params[w], transpose_b=True), self._params[b])
@@ -271,8 +256,7 @@ class KTModel:
         (training); at 0, the default, the pass is deterministic.
         """
         P = self._params
-        h = self.encode_steps(batch)
-        query = self.encode_queries(batch)
+        h, query = self.encode_steps(batch)
         for i in range(self.config.n_layers):
             z = ag.layer_norm(h, P[f"block{i}.ln1.gain"], P[f"block{i}.ln1.bias"])
             q = self._linear(z, f"block{i}.attn.wq", f"block{i}.attn.bq")

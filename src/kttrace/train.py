@@ -86,6 +86,10 @@ class TrainConfig:
             raise ValueError("learning_rate, max_epochs and batch_size must be positive")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        if self.clip_norm is not None and not self.clip_norm > 0:
+            raise ValueError(f"clip_norm must be positive or null, got {self.clip_norm}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.learning_rate not in GRID_LEARNING_RATES:
             warnings.warn(f"learning_rate {self.learning_rate} outside the usual "
                           f"grid {GRID_LEARNING_RATES}", stacklevel=2)

@@ -58,13 +58,16 @@ def _step_vec(P, batch, D, b, t):
 
 
 def _query_vec(P, batch, D, b, t):
-    vec = list(P["emb.question"][batch.next_questions[b, t]])
+    """The next step's question, type and KC terms; zero where unscored."""
+    if batch.pred_mask[b, t, 0] == 0:
+        return [0.0] * D
+    vec = list(P["emb.question"][batch.questions[b, t + 1]])
     for d in range(D):
         vec[d] += P["emb.type"][0][d] + P["emb.type"][1][d]
-    real = [k for k in range(batch.next_kcs.shape[2]) if batch.next_kc_mask[b, t, k] > 0]
+    real = [k for k in range(batch.kcs.shape[2]) if batch.kc_mask[b, t + 1, k] > 0]
     if real:
         for d in range(D):
-            vec[d] += sum(P["emb.kc"][batch.next_kcs[b, t, k]][d] for k in real) / len(real)
+            vec[d] += sum(P["emb.kc"][batch.kcs[b, t + 1, k]][d] for k in real) / len(real)
     return vec
 
 
@@ -206,3 +209,16 @@ def embedding_backward(n_rows, ids, g):
     grad = np.zeros((n_rows, g.shape[-1]), dtype=g.dtype)
     np.add.at(grad, np.asarray(ids).reshape(-1), g.reshape(-1, g.shape[-1]))
     return grad
+
+
+def pairwise_auc(probs, labels):
+    """Brute-force O(n^2) AUC: count wins and halved ties directly."""
+    probs = np.asarray(probs, dtype=np.float64).reshape(-1)
+    labels = np.asarray(labels).reshape(-1)
+    p = probs[labels == 1]
+    q = probs[labels == 0]
+    if len(p) == 0 or len(q) == 0:
+        raise ValueError("AUC undefined: need both classes")
+    wins = (p[:, None] > q[None, :]).sum()
+    ties = (p[:, None] == q[None, :]).sum()
+    return float((wins + ties / 2.0) / (len(p) * len(q)))

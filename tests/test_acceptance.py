@@ -30,7 +30,7 @@ from kttrace.data import (
     preprocess,
 )
 from kttrace.importance import compute_importance, constant_profile
-from kttrace.metrics import accuracy, auc, pairwise_auc
+from kttrace.metrics import accuracy, auc
 from kttrace.model import KTModel, ModelConfig, parameter_count
 from kttrace.train import (
     Checkpoint,
@@ -43,7 +43,7 @@ from kttrace.train import (
     save_checkpoint,
 )
 from helpers import finite_diff, hand_sequences, max_rel_err, tiny_vocab
-from oracles import oracle_gate_gradients
+from oracles import oracle_gate_gradients, pairwise_auc
 import experiment
 
 REPO = Path(__file__).resolve().parent.parent

@@ -24,6 +24,7 @@ from kttrace.autograd import (
     matmul,
     mean_over_axis,
     mul,
+    next_step,
     sigmoid,
 )
 from kttrace.data import pack_segments
@@ -281,12 +282,16 @@ def _recorded_op(op, rng):
     if op == "causal_attention":
         qkv = [Tensor(rng.normal(size=(2, 5, 6)), requires_grad=True) for _ in range(3)]
         return qkv, [], lambda: causal_attention(*qkv, n_head=2)
+    if op == "next_step":
+        x = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
+        return [x], [], lambda: next_step(x)
     table = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     ids = np.array([[0, 2, 2, 1], [3, 0, 2, 2]])
     return [table], [ids], lambda: embedding_lookup(table, ids)
 
 
-@pytest.mark.parametrize("op", ["sigmoid", "causal_attention", "embedding_lookup"])
+@pytest.mark.parametrize("op", ["sigmoid", "causal_attention", "embedding_lookup",
+                                "next_step"])
 def test_backward_reuses_no_buffer_it_does_not_own(op):
     rng = np.random.default_rng(13)
     leaves, constants, call = _recorded_op(op, rng)
@@ -364,6 +369,12 @@ def test_grad_embedding_lookup():
     arrays = {"table": rng.normal(size=(4, 3))}
     check_op_grads(
         lambda t: scalarize(sigmoid(embedding_lookup(t["table"], ids))), arrays)
+
+
+def test_grad_next_step():
+    rng = np.random.default_rng(5)
+    arrays = {"x": rng.normal(size=(2, 4, 3))}
+    check_op_grads(lambda t: scalarize(sigmoid(next_step(t["x"]))), arrays)
 
 
 def test_grad_layer_norm():

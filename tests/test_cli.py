@@ -134,6 +134,23 @@ def test_bad_model_size_is_data_error(pipeline, capsys, model):
     assert code == 2
 
 
+@pytest.mark.parametrize("train", [{"clip_norm": -1}, {"clip_norm": 0}, {"dropout": 1.5}],
+                         ids=["negative-clip", "zero-clip", "dropout-above-one"])
+def test_bad_train_value_is_data_error_before_training(pipeline, capsys, tmp_path,
+                                                       monkeypatch, train):
+    monkeypatch.setattr("kttrace.train.Adam.step",
+                        lambda *a, **k: pytest.fail("a training step ran"))
+    root, _, _ = pipeline
+    section = {"learning_rate": 0.001, "max_epochs": 2, "patience": 2, "batch_size": 16,
+               **train}
+    path = write_config(root, name="bad-train.json", datasets=PIPELINE_DATASETS,
+                        train=section)
+    out = tmp_path / "never.lrkt"
+    code, _ = run_cli(capsys, "pretrain", "--config", str(path), "--out", str(out))
+    assert code == 2
+    assert not out.exists()
+
+
 def test_eval_of_all_datasets_matches_one_call_per_dataset(pipeline, capsys):
     root, ckpt, _ = pipeline
     cfg = str(root / "config.json")

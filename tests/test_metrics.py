@@ -9,12 +9,12 @@ from kttrace.metrics import (
     average_ranks,
     collect_predictions,
     evaluate,
-    pairwise_auc,
     reports_to_json,
     write_reports_csv,
     write_reports_json,
 )
 from helpers import build_tiny, hand_sequences
+from oracles import pairwise_auc
 
 
 # ---------------------------------------------------------------------------

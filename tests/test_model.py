@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kttrace.autograd import Tape, Tensor, bce_loss, mean_over_axis, mul
 from kttrace.data import (
@@ -87,7 +90,7 @@ def test_encode_single_kc_collapses_to_that_embedding():
     seq = StudentSequence("a", [Interaction(1, (3,), 1, 0),
                                 Interaction(1, (3,), 1, 60),
                                 Interaction(1, (3,), 0, 120)])
-    enc = model.encode_interactions([seq], dataset_index=0).data
+    enc = model.encode_steps(pack_segments([seq], vocab, 0, dtype=model.dtype))[0].data
     P = {k: v.data for k, v in model.parameters().items()}
     expected0 = (P["emb.question"][vocab.question_to_global(0, 1)]
                  + P["emb.type"][0]
@@ -107,8 +110,8 @@ def test_encode_dataset_shift_is_embedding_difference():
     b0 = pack_segments([seq], vocab, 0, dtype=model.dtype)
     b1 = pack_segments([seq], vocab, 0, dtype=model.dtype)
     b1.dataset_index = 1
-    e0 = model.encode_steps(b0).data
-    e1 = model.encode_steps(b1).data
+    e0 = model.encode_steps(b0)[0].data
+    e1 = model.encode_steps(b1)[0].data
     ds = model.param("emb.dataset").data
     diff = e1 - e0
     np.testing.assert_allclose(diff, np.broadcast_to(ds[1] - ds[0], diff.shape),
@@ -116,19 +119,20 @@ def test_encode_dataset_shift_is_embedding_difference():
 
 
 def test_encode_zero_tables_gives_zero():
-    model, _ = build_tiny()
+    model, vocab = build_tiny()
     for name, t in model.parameters().items():
         if name.startswith("emb."):
             t.data[:] = 0.0
-    enc = model.encode_interactions([hand_sequences()[0]], dataset_index=0)
+    enc, _ = model.encode_steps(pack_segments([hand_sequences()[0]], vocab, 0,
+                                              dtype=model.dtype))
     assert (enc.data == 0.0).all()
 
 
 def test_encode_rejects_overlong_sequence():
-    model, _ = build_tiny(max_seq_len=4)
+    model, vocab = build_tiny(max_seq_len=4)
     seq = StudentSequence("a", [Interaction(0, (0,), 1, t) for t in range(5)])
     with pytest.raises(ValueError, match="max_seq_len"):
-        model.encode_interactions([seq], dataset_index=0)
+        model.encode_steps(pack_segments([seq], vocab, 0, dtype=model.dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +192,28 @@ def test_padding_invariance():
     pert = model.predict_batch(tampered)
     np.testing.assert_array_equal(base[0, :3], pert[0, :3])
     np.testing.assert_array_equal(base[1], pert[1])
+
+
+PADDED_SEQS = hand_sequences() + [StudentSequence("c", [
+    Interaction(q, (q % 6,), q % 2, 60 * q) for q in range(6)])]  # lengths 3, 4, 6
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.data(), st.sampled_from([np.float32, np.float64]))
+def test_ids_in_padded_cells_never_change_a_real_step_prediction(data, dtype):
+    # every real step, scored or not: the last one is unscored, and its
+    # query would read the padded step after it if it were not masked
+    model, vocab = build_tiny(n_layers=2, dtype=dtype)
+    batch = pack_segments(PADDED_SEQS, vocab, 0, dtype=model.dtype)
+    base = model.predict_batch(batch)
+    pad = np.arange(batch.questions.shape[1])[None, :] >= batch.lengths[:, None]
+    for name, n_ids in (("questions", vocab.n_question_rows), ("kcs", vocab.n_kc_rows),
+                        ("responses", 2)):
+        arr = getattr(batch, name)
+        drawn = data.draw(arrays(np.int64, arr.shape, elements=st.integers(0, n_ids - 1)))
+        cells = pad if arr.ndim == 2 else pad[..., None]
+        setattr(batch, name, np.where(cells, drawn, arr))
+    np.testing.assert_array_equal(model.predict_batch(batch)[~pad], base[~pad])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
