@@ -9,7 +9,6 @@ from .autograd import GateParam, Tape, Tensor
 from .data import (
     DatasetSpec,
     GlobalVocab,
-    Interaction,
     PreparedDataset,
     StudentSequence,
     SyntheticConfig,
@@ -26,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GateParam", "Tape", "Tensor",
-    "DatasetSpec", "GlobalVocab", "Interaction", "PreparedDataset",
+    "DatasetSpec", "GlobalVocab", "PreparedDataset",
     "StudentSequence", "SyntheticConfig", "build_vocab", "generate_synthetic",
     "ingest", "mix_batches", "preprocess", "write_blocks",
     "PRESETS", "KTModel", "ModelConfig", "zero_shot_adapt",

@@ -228,8 +228,9 @@ def mul(a, b):
     _check_finite("mul", data)
     out = Tensor(data)
 
-    def bwd(g):
-        return _reduce_to(g * b.data, a.shape), _reduce_to(g * a.data, b.shape)
+    def bwd(g):   # no gradient for an operand that needs none (a constant mask)
+        return (_reduce_to(g * b.data, a.shape) if a.requires_grad else None,
+                _reduce_to(g * a.data, b.shape) if b.requires_grad else None)
 
     return _record(out, (a, b), bwd)
 

@@ -9,12 +9,19 @@ The on-disk format is a 5-line block per student:
     line 5: timestamps (ms), comma-separated
 
 Blocks are separated by a blank line.
+
+In memory a :class:`StudentSequence` is columnar: one int64 array per
+field, KC sets as the rows of an ``[L, K]`` array right-padded with -1.
+``ingest`` builds one array per field for a whole file and each sequence
+is a view into it, so no Python object exists per interaction.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -26,23 +33,32 @@ class DataFormatError(ValueError):
     """Malformed dataset file; message carries the offending line number."""
 
 
-@dataclass(frozen=True)
-class Interaction:
-    """One attempt: question, its KC set, the 0/1 response, time in ms."""
-
-    question_id: int
-    kc_ids: tuple
-    response: int
-    timestamp: int
-
-
-@dataclass
+@dataclass(eq=False)
 class StudentSequence:
+    """One student's attempts in time order, one array per field.
+
+    ``kcs[t]`` is the sorted, de-duplicated KC set of attempt ``t``,
+    right-padded with -1. ``==`` compares the ID and the arrays, padding too.
+    """
+
     student_id: str
-    interactions: list
+    questions: np.ndarray      # [L]
+    kcs: np.ndarray            # [L, K]
+    responses: np.ndarray      # [L] 0/1
+    timestamps: np.ndarray     # [L] ms
 
     def __len__(self):
-        return len(self.interactions)
+        return len(self.questions)
+
+    def __eq__(self, other):
+        return isinstance(other, StudentSequence) and self.student_id == other.student_id and all(
+            np.array_equal(getattr(self, f), getattr(other, f))
+            for f in ("questions", "kcs", "responses", "timestamps"))
+
+    def __getitem__(self, window):
+        """The attempts in slice ``window``, as views."""
+        return StudentSequence(self.student_id, self.questions[window], self.kcs[window],
+                               self.responses[window], self.timestamps[window])
 
 
 @dataclass(frozen=True)
@@ -61,9 +77,7 @@ class Splits:
     test: list
 
     def __iter__(self):
-        yield "train", self.train
-        yield "valid", self.valid
-        yield "test", self.test
+        return iter([("train", self.train), ("valid", self.valid), ("test", self.test)])
 
 
 @dataclass
@@ -81,21 +95,28 @@ class PreparedDataset:
 
 
 def _parse_int_row(raw, line_no, what):
-    out = []
-    for tok in raw.split(","):
-        tok = tok.strip()
-        try:
-            out.append(int(tok))
-        except ValueError:
-            raise DataFormatError(f"line {line_no}: bad {what} value {tok!r}") from None
-    return out
+    tokens = raw.split(",")
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        for tok in tokens:
+            try:
+                int(tok)
+            except ValueError:
+                raise DataFormatError(f"line {line_no}: bad {what} value {tok.strip()!r}") from None
 
 
 def ingest(path, spec=None):
-    """Parse a block-format file into one StudentSequence per block."""
+    """Parse a block-format file into one StudentSequence per block.
+
+    Tokens are parsed with ``int``. Of several faults, the first parse
+    fault (a bad token, field count, length or KC set) is reported, else
+    the earliest attempt with a bad response, timestamp or ID, in that order.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
-    sequences = []
+    heads, student_ids, bounds = [], [], [0]   # per block: line index, id, end row
+    questions, responses, stamps, kc_flat, kc_counts = [], [], [], [], []
     i = 0
     n = len(lines)
     while i < n:
@@ -108,49 +129,67 @@ def ingest(path, spec=None):
         parts = header.rsplit(",", 1)
         if len(parts) != 2:
             raise DataFormatError(f"line {i + 1}: header must be 'student_id,length', got {header!r}")
-        student_id = parts[0].strip()
         try:
             declared = int(parts[1])
         except ValueError:
             raise DataFormatError(f"line {i + 1}: bad length {parts[1]!r}") from None
 
         q_ids = _parse_int_row(lines[i + 1], i + 2, "question ID")
-        kc_fields = [f.strip() for f in lines[i + 2].split(",")]
-        responses = _parse_int_row(lines[i + 3], i + 4, "response")
-        stamps = _parse_int_row(lines[i + 4], i + 5, "timestamp")
+        kc_fields = lines[i + 2].split(",")
+        block_responses = _parse_int_row(lines[i + 3], i + 4, "response")
+        block_stamps = _parse_int_row(lines[i + 4], i + 5, "timestamp")
 
-        counts = {len(q_ids), len(kc_fields), len(responses), len(stamps)}
-        if len(counts) != 1:
+        lengths = (len(q_ids), len(kc_fields), len(block_responses), len(block_stamps))
+        if len(set(lengths)) != 1:
             raise DataFormatError(
                 f"line {i + 1}: unequal field counts across block lines "
-                f"({len(q_ids)}/{len(kc_fields)}/{len(responses)}/{len(stamps)})")
+                f"({'/'.join(map(str, lengths))})")
         if declared != len(q_ids):
             raise DataFormatError(
                 f"line {i + 1}: declared length {declared} != {len(q_ids)} fields")
-
-        interactions = []
-        prev_ts = None
-        for j in range(declared):
-            if responses[j] not in (0, 1):
-                raise DataFormatError(f"line {i + 4}: response must be 0 or 1, got {responses[j]}")
-            if stamps[j] < 0:
-                raise DataFormatError(f"line {i + 5}: negative timestamp {stamps[j]}")
-            if prev_ts is not None and stamps[j] < prev_ts:
-                raise DataFormatError(f"line {i + 5}: timestamps must be non-decreasing")
-            prev_ts = stamps[j]
-            kc_raw = kc_fields[j]
+        for j, kc_raw in enumerate(map(str.strip, kc_fields)):
             if not kc_raw:
                 raise DataFormatError(f"line {i + 3}: empty KC set in column {j + 1}")
             try:
-                kcs = tuple(sorted({int(t) for t in kc_raw.split("_")}))
+                kc_set = sorted({int(t) for t in kc_raw.split("_")})
             except ValueError:
                 raise DataFormatError(f"line {i + 3}: bad KC set {kc_raw!r}") from None
-            if q_ids[j] < 0 or any(c < 0 for c in kcs):
-                raise DataFormatError(f"line {i + 2}: negative ID in column {j + 1}")
-            interactions.append(Interaction(q_ids[j], kcs, responses[j], stamps[j]))
-        sequences.append(StudentSequence(student_id, interactions))
+            kc_flat.extend(kc_set)
+            kc_counts.append(len(kc_set))
+        questions.extend(q_ids)
+        responses.extend(block_responses)
+        stamps.extend(block_stamps)
+        heads.append(i)
+        student_ids.append(parts[0].strip())
+        bounds.append(len(questions))
         i += 5
-    return sequences
+
+    try:
+        q, r, t, flat = (np.array(v, dtype=np.int64)
+                         for v in (questions, responses, stamps, kc_flat))
+    except OverflowError:
+        line = next(h + k for h in heads for k in (1, 2, 3, 4) if not all(
+            -2**63 <= int(tok) < 2**63 for tok in lines[h + k].replace("_", ",").split(",")))
+        raise DataFormatError(f"line {line + 1}: a value does not fit in 64 bits") from None
+
+    counts = np.array(kc_counts, dtype=np.int64)
+    kcs = np.full((len(counts), int(counts.max(initial=1))), -1, dtype=np.int64)
+    kcs[np.arange(kcs.shape[1]) < counts[:, None]] = flat   # column 0: each set's least KC
+    step_back = t < np.roll(t, 1)
+    step_back[bounds[:-1]] = False   # a block's first attempt has no predecessor
+    faults = np.array([(r != 0) & (r != 1), t < 0, step_back, (q < 0) | (kcs[:, 0] < 0)])
+    if faults.any():   # the earliest bad attempt, its checks in this order
+        j = int(np.argmax(faults.any(axis=0)))
+        b = bisect_right(bounds, j) - 1
+        raise DataFormatError("line " + (
+            f"{heads[b] + 4}: response must be 0 or 1, got {r[j]}",
+            f"{heads[b] + 5}: negative timestamp {t[j]}",
+            f"{heads[b] + 5}: timestamps must be non-decreasing",
+            f"{heads[b] + 2}: negative ID in column {j - bounds[b] + 1}",
+        )[int(np.argmax(faults[:, j]))])
+
+    return [StudentSequence(sid, q[a:b], kcs[a:b], r[a:b], t[a:b])
+            for sid, a, b in zip(student_ids, bounds, bounds[1:])]
 
 
 def write_blocks(sequences, path):
@@ -159,22 +198,19 @@ def write_blocks(sequences, path):
         for k, seq in enumerate(sequences):
             if k:
                 fh.write("\n")
-            rows = seq.interactions
-            fh.write(f"{seq.student_id},{len(rows)}\n")
-            fh.write(",".join(str(r.question_id) for r in rows) + "\n")
-            fh.write(",".join("_".join(str(c) for c in r.kc_ids) for r in rows) + "\n")
-            fh.write(",".join(str(r.response) for r in rows) + "\n")
-            fh.write(",".join(str(r.timestamp) for r in rows) + "\n")
+            fh.write(f"{seq.student_id},{len(seq)}\n")
+            fh.write(",".join(map(str, seq.questions.tolist())) + "\n")
+            kc_columns = (map(str, column) for column in seq.kcs.T.tolist())
+            fh.write(",".join(map("_".join, zip(*kc_columns))).replace("_-1", "") + "\n")
+            fh.write(",".join(map(str, seq.responses.tolist())) + "\n")
+            fh.write(",".join(map(str, seq.timestamps.tolist())) + "\n")
 
 
 def observed_id_sizes(sequences):
     """(max question id + 1, max KC id + 1) over all interactions."""
-    mq, mc = -1, -1
-    for seq in sequences:
-        for r in seq.interactions:
-            mq = max(mq, r.question_id)
-            mc = max(mc, max(r.kc_ids))
-    return mq + 1, mc + 1
+    def size(arrays):
+        return int(np.concatenate([a.ravel() for a in arrays] + [[-1]]).max()) + 1
+    return size(s.questions for s in sequences), size(s.kcs for s in sequences)
 
 
 # ---------------------------------------------------------------------------
@@ -188,25 +224,14 @@ def clean_sequences(sequences, min_len=MIN_SEQ_LEN, max_len=MAX_SEQ_LEN):
     interactions; a trailing segment shorter than ``min_len`` is dropped.
     Idempotent: output sequences all satisfy the bounds already.
     """
-    out = []
-    for seq in sequences:
-        if len(seq) < min_len:
-            continue
-        for start in range(0, len(seq), max_len):
-            part = seq.interactions[start:start + max_len]
-            if len(part) >= min_len:
-                out.append(StudentSequence(seq.student_id, list(part)))
-    return out
+    parts = (seq if len(seq) <= max_len else seq[start:start + max_len]
+             for seq in sequences for start in range(0, len(seq), max_len))
+    return [part for part in parts if len(part) >= min_len]
 
 
 def split_students(sequences, seed):
     """Student-level 80/20 eval split, then 90/10 train/valid inside the 80%."""
-    order = []
-    seen = set()
-    for seq in sequences:
-        if seq.student_id not in seen:
-            seen.add(seq.student_id)
-            order.append(seq.student_id)
+    order = list(dict.fromkeys(seq.student_id for seq in sequences))
     n = len(order)
     if n < 2:
         raise ValueError(f"need at least 2 students to split, got {n}")
@@ -258,15 +283,10 @@ class GlobalVocab:
             raise ValueError(f"dataset_index values must be exactly 0..{len(entries) - 1}, "
                              f"got {sorted(indexes)}")
         self.entries = sorted(entries, key=lambda e: e[1])
-        self.q_offsets, self.kc_offsets = [], []
-        q, c = 0, 0
-        for _, _, nq, nk in self.entries:
-            self.q_offsets.append(q)
-            self.kc_offsets.append(c)
-            q += nq
-            c += nk
-        self.total_questions = q
-        self.total_kcs = c
+        q_ends = list(accumulate((e[2] for e in self.entries), initial=0))
+        kc_ends = list(accumulate((e[3] for e in self.entries), initial=0))
+        self.q_offsets, self.total_questions = q_ends[:-1], q_ends[-1]
+        self.kc_offsets, self.total_kcs = kc_ends[:-1], kc_ends[-1]
 
     @property
     def n_datasets(self):
@@ -294,24 +314,16 @@ class GlobalVocab:
         return self.total_kcs + dataset_index
 
     def question_to_global(self, dataset_index, local):
+        """Global rows of local question IDs (an int or an array); others get UNK."""
         nq = self._entry(dataset_index)[2]
-        if 0 <= local < nq:
-            return self.q_offsets[dataset_index] + local
-        return self.unk_question(dataset_index)
+        return np.where((local >= 0) & (local < nq), self.q_offsets[dataset_index] + local,
+                        self.unk_question(dataset_index))
 
     def kc_to_global(self, dataset_index, local):
+        """Global rows of local KC IDs (an int or an array); others get UNK."""
         nk = self._entry(dataset_index)[3]
-        if 0 <= local < nk:
-            return self.kc_offsets[dataset_index] + local
-        return self.unk_kc(dataset_index)
-
-    def question_from_global(self, global_id):
-        if not 0 <= global_id < self.total_questions:
-            raise ValueError(f"global question id {global_id} outside [0, {self.total_questions})")
-        for d in reversed(range(self.n_datasets)):
-            if global_id >= self.q_offsets[d]:
-                return d, global_id - self.q_offsets[d]
-        raise AssertionError
+        return np.where((local >= 0) & (local < nk), self.kc_offsets[dataset_index] + local,
+                        self.unk_kc(dataset_index))
 
     def extended(self, name, n_questions, n_kcs):
         """New vocab with one more dataset appended at the next index."""
@@ -336,11 +348,10 @@ def build_vocab(specs, sizes):
     """
     if not specs:
         raise ValueError("need at least one dataset")
-    seen = set()
-    for s in specs:
-        if s.dataset_index in seen:
-            raise ValueError(f"overlapping dataset_index {s.dataset_index}")
-        seen.add(s.dataset_index)
+    indexes = [s.dataset_index for s in specs]
+    repeated = [d for k, d in enumerate(indexes) if d in indexes[:k]]
+    if repeated:
+        raise ValueError(f"overlapping dataset_index {repeated[0]}")
     return GlobalVocab([(s.name, s.dataset_index, *sizes[s.name]) for s in specs])
 
 
@@ -369,38 +380,34 @@ class PackedBatch:
 
 
 def pack_segments(segments, vocab, dataset_index, dtype=np.float32):
-    """Translate segments to global IDs and pad them into batch arrays."""
+    """Translate segments to global IDs and pad them into batch arrays.
+
+    ``K`` is the largest KC set in the batch, whatever width the segments
+    pad their KC sets to.
+    """
     if not segments:
         raise ValueError("cannot pack an empty batch")
     B = len(segments)
-    T = max(len(s) for s in segments)
-    K = max(len(r.kc_ids) for s in segments for r in s.interactions)
-    pad_q = vocab.unk_question(dataset_index)
-    pad_c = vocab.unk_kc(dataset_index)
-
-    questions = np.full((B, T), pad_q, dtype=np.int64)
-    kcs = np.full((B, T, K), pad_c, dtype=np.int64)
-    kc_mask = np.zeros((B, T, K), dtype=dtype)
-    kc_scale = np.zeros((B, T, 1), dtype=dtype)
+    lengths = np.array([len(s) for s in segments], dtype=np.int64)
+    T = int(lengths.max())
+    local_q = np.full((B, T), -1, dtype=np.int64)
+    local_c = np.full((B, T, max(s.kcs.shape[1] for s in segments)), -1, dtype=np.int64)
     responses = np.zeros((B, T), dtype=np.int64)
-    lengths = np.zeros(B, dtype=np.int64)
-
     for b, seq in enumerate(segments):
-        lengths[b] = len(seq)
-        for t, r in enumerate(seq.interactions):
-            questions[b, t] = vocab.question_to_global(dataset_index, r.question_id)
-            for k, c in enumerate(r.kc_ids):
-                kcs[b, t, k] = vocab.kc_to_global(dataset_index, c)
-                kc_mask[b, t, k] = 1.0
-            kc_scale[b, t, 0] = K / len(r.kc_ids)
-            responses[b, t] = r.response
+        local_q[b, :len(seq)] = seq.questions
+        local_c[b, :len(seq), :seq.kcs.shape[1]] = seq.kcs
+        responses[b, :len(seq)] = seq.responses
 
+    n_kcs = (local_c >= 0).sum(axis=2)
+    K = int(n_kcs.max())
+    local_c = local_c[:, :, :K]
+    questions = vocab.question_to_global(dataset_index, local_q)
+    kcs = vocab.kc_to_global(dataset_index, local_c)
+    kc_mask = (local_c >= 0).astype(dtype)
+    kc_scale = (K / np.maximum(n_kcs, 1) * (n_kcs > 0)).astype(dtype)[..., None]
     targets = np.zeros((B, T, 1), dtype=dtype)
-    targets[:, :-1, 0] = responses[:, 1:].astype(dtype)
-    pred_mask = np.zeros((B, T, 1), dtype=dtype)
-    for b in range(B):
-        pred_mask[b, :max(lengths[b] - 1, 0), 0] = 1.0
-
+    targets[:, :-1, 0] = responses[:, 1:]
+    pred_mask = (np.arange(T) < lengths[:, None] - 1).astype(dtype)[..., None]
     return PackedBatch(dataset_index, questions, kcs, kc_mask, kc_scale, responses,
                        targets, pred_mask, lengths)
 
@@ -415,18 +422,12 @@ def mix_batches(train_lists, batch_size, seed):
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     rng = np.random.default_rng(seed)
-    queues = []
-    for segs in train_lists:
-        perm = rng.permutation(len(segs))
-        queues.append([segs[i] for i in perm])
-    cursors = [0] * len(queues)
+    queues = [[segs[i] for i in rng.permutation(len(segs))] for segs in train_lists]
     remaining = np.array([len(q) for q in queues], dtype=np.float64)
     while remaining.sum() > 0:
-        probs = remaining / remaining.sum()
-        d = int(rng.choice(len(queues), p=probs))
-        start = cursors[d]
+        d = int(rng.choice(len(queues), p=remaining / remaining.sum()))
+        start = len(queues[d]) - int(remaining[d])
         take = int(min(batch_size, remaining[d]))
-        cursors[d] = start + take
         remaining[d] -= take
         yield d, queues[d][start:start + take]
 
@@ -481,24 +482,27 @@ def simulate_sequences(theta, difficulty, question_kcs, n_kcs, learning_rate,
     within the same sequence. Returns (sequences, per-sequence p lists).
     """
     n_questions = len(difficulty)
+    width = max(map(len, question_kcs))
+    kc_table = np.array([list(k) + [-1] * (width - len(k)) for k in question_kcs], dtype=np.int64)
     sequences, all_probs = [], []
     for s in range(len(theta)):
         length = max(MIN_SEQ_LEN, int(rng.geometric(1.0 / mean_seq_len)))
         qs = rng.integers(0, n_questions, size=length)
         exposure = np.zeros(n_kcs)
-        rows, probs = [], []
+        responses, probs = [], []
         for j in range(length):
             q = int(qs[j])
             kcs = question_kcs[q]
             seen = float(np.mean([exposure[c] for c in kcs]))
             logit = theta[s] - difficulty[q] + learning_rate * seen
             p = 1.0 / (1.0 + np.exp(-logit))
-            r = int(rng.random() < p)
-            rows.append(Interaction(q, kcs, r, 60000 * j))
+            responses.append(int(rng.random() < p))
             probs.append(p)
             for c in kcs:
                 exposure[c] += 1
-        sequences.append(StudentSequence(f"s{s}", rows))
+        sequences.append(StudentSequence(f"s{s}", qs, kc_table[qs],
+                                         np.array(responses, dtype=np.int64),
+                                         60000 * np.arange(length, dtype=np.int64)))
         all_probs.append(probs)
     return sequences, all_probs
 
@@ -509,16 +513,13 @@ def generate_synthetic(config):
     rng = np.random.default_rng(config.seed)
     theta = rng.normal(0.0, config.ability_spread, config.n_students)
     difficulty = rng.normal(0.0, config.difficulty_spread, config.n_questions)
-    question_kcs = []
-    for _ in range(config.n_questions):
-        k = int(rng.integers(1, 3))
-        question_kcs.append(tuple(sorted(rng.choice(config.n_kcs, size=k, replace=False).tolist())))
-
+    question_kcs = [tuple(sorted(rng.choice(config.n_kcs, size=int(rng.integers(1, 3)),
+                                            replace=False).tolist()))
+                    for _ in range(config.n_questions)]
     sequences, probs = simulate_sequences(
         theta, difficulty, question_kcs, config.n_kcs,
         config.learning_rate_per_exposure, config.mean_seq_len, rng)
-    truth = SyntheticTruth(theta, difficulty, question_kcs, probs)
-    return sequences, truth
+    return sequences, SyntheticTruth(theta, difficulty, question_kcs, probs)
 
 
 def write_truth_sidecar(truth, sequences, path):

@@ -23,7 +23,6 @@ class MetricsReport:
     auc: float
     accuracy: float
     n_predictions: int
-    threshold: float = 0.5
 
     def __post_init__(self):
         if self.n_predictions <= 0:
@@ -77,15 +76,15 @@ def auc(probs, labels):
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def accuracy(probs, labels, threshold=0.5):
-    """Fraction of thresholded predictions matching the labels.
+def accuracy(probs, labels):
+    """Fraction of predictions, thresholded at 0.5, matching the labels.
 
-    A probability exactly at the threshold predicts the positive class.
+    A probability of exactly 0.5 predicts the positive class.
     """
     probs, labels = _check_binary(probs, labels)
     if len(probs) == 0:
         raise ValueError("accuracy undefined on empty input")
-    preds = probs >= threshold
+    preds = probs >= 0.5
     return float((preds == (labels == 1)).mean())
 
 
@@ -108,7 +107,7 @@ def collect_predictions(model, segments, dataset_index, batch_size=64):
     return np.concatenate(ps), np.concatenate(ys).astype(np.int64)
 
 
-def evaluate(model, named_splits, batch_size=64, threshold=0.5):
+def evaluate(model, named_splits, batch_size=64):
     """One MetricsReport per (dataset, split) entry.
 
     ``named_splits`` is an iterable of
@@ -120,14 +119,13 @@ def evaluate(model, named_splits, batch_size=64, threshold=0.5):
         reports.append(MetricsReport(
             dataset=dataset_name, split=split_name,
             auc=auc(probs, labels),
-            accuracy=accuracy(probs, labels, threshold),
-            n_predictions=len(labels), threshold=threshold))
+            accuracy=accuracy(probs, labels), n_predictions=len(labels)))
     return reports
 
 
 def reports_to_json(reports):
     return [{"dataset": r.dataset, "split": r.split, "n": r.n_predictions,
-             "auc": r.auc, "accuracy": r.accuracy, "threshold": r.threshold}
+             "auc": r.auc, "accuracy": r.accuracy, "threshold": 0.5}
             for r in reports]
 
 

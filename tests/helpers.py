@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from kttrace.data import DatasetSpec, Interaction, StudentSequence, build_vocab
+from kttrace.data import DatasetSpec, StudentSequence, build_vocab
 from kttrace.model import KTModel, ModelConfig
 
 
@@ -22,17 +22,29 @@ def build_tiny(seed=0, dtype=np.float64, **kw):
     return KTModel.build(config, vocab, seed=seed, dtype=dtype), vocab
 
 
+def seq_of(student_id, rows, width=None):
+    """A StudentSequence from (question, KC tuple, response, timestamp) rows.
+
+    KC sets are right-padded with -1 to ``width`` (default: the largest).
+    """
+    width = width or max((len(r[1]) for r in rows), default=1)
+    column = [np.array([r[i] for r in rows], dtype=np.int64) for i in (0, 2, 3)]
+    kcs = np.array([list(r[1]) + [-1] * (width - len(r[1])) for r in rows],
+                   dtype=np.int64).reshape(len(rows), width)
+    return StudentSequence(student_id, column[0], kcs, column[1], column[2])
+
+
 def hand_sequences():
-    s1 = StudentSequence("a", [
-        Interaction(0, (0, 2), 1, 0),
-        Interaction(3, (1,), 0, 60),
-        Interaction(5, (2, 4), 1, 120),
+    s1 = seq_of("a", [
+        (0, (0, 2), 1, 0),
+        (3, (1,), 0, 60),
+        (5, (2, 4), 1, 120),
     ])
-    s2 = StudentSequence("b", [
-        Interaction(7, (3,), 0, 0),
-        Interaction(2, (0,), 1, 60),
-        Interaction(2, (0,), 1, 120),
-        Interaction(9, (5, 1), 0, 180),
+    s2 = seq_of("b", [
+        (7, (3,), 0, 0),
+        (2, (0,), 1, 60),
+        (2, (0,), 1, 120),
+        (9, (5, 1), 0, 180),
     ])
     return [s1, s2]
 

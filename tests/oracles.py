@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from kttrace.data import pack_segments
+from kttrace.data import PackedBatch, pack_segments
 
 PROB_CLAMP = 1e-7
 
@@ -222,3 +222,45 @@ def pairwise_auc(probs, labels):
     wins = (p[:, None] > q[None, :]).sum()
     ties = (p[:, None] == q[None, :]).sum()
     return float((wins + ties / 2.0) / (len(p) * len(q)))
+
+
+def oracle_pack(segments, vocab, dataset_index, dtype=np.float32):
+    """``pack_segments`` one interaction and one KC at a time.
+
+    IDs are translated by scalar offset arithmetic; an ID outside its
+    dataset's range, and every padded cell, takes the dataset's UNK row.
+    """
+    def to_global(local, offsets, size, unk):
+        return offsets[dataset_index] + local if 0 <= local < size else unk
+
+    _, _, nq, nk = vocab.entries[dataset_index]
+    pad_q = vocab.total_questions + dataset_index
+    pad_c = vocab.total_kcs + dataset_index
+    kc_sets = [[[int(c) for c in row if c >= 0] for row in seq.kcs] for seq in segments]
+    B = len(segments)
+    T = max(len(s) for s in segments)
+    K = max(len(kc) for sets in kc_sets for kc in sets)
+
+    questions = np.full((B, T), pad_q, dtype=np.int64)
+    kcs = np.full((B, T, K), pad_c, dtype=np.int64)
+    kc_mask = np.zeros((B, T, K), dtype=dtype)
+    kc_scale = np.zeros((B, T, 1), dtype=dtype)
+    responses = np.zeros((B, T), dtype=np.int64)
+    lengths = np.zeros(B, dtype=np.int64)
+    for b, seq in enumerate(segments):
+        lengths[b] = len(seq)
+        for t in range(len(seq)):
+            questions[b, t] = to_global(int(seq.questions[t]), vocab.q_offsets, nq, pad_q)
+            for k, c in enumerate(kc_sets[b][t]):
+                kcs[b, t, k] = to_global(c, vocab.kc_offsets, nk, pad_c)
+                kc_mask[b, t, k] = 1.0
+            kc_scale[b, t, 0] = K / len(kc_sets[b][t])
+            responses[b, t] = int(seq.responses[t])
+
+    targets = np.zeros((B, T, 1), dtype=dtype)
+    targets[:, :-1, 0] = responses[:, 1:].astype(dtype)
+    pred_mask = np.zeros((B, T, 1), dtype=dtype)
+    for b in range(B):
+        pred_mask[b, :max(lengths[b] - 1, 0), 0] = 1.0
+    return PackedBatch(dataset_index, questions, kcs, kc_mask, kc_scale, responses,
+                       targets, pred_mask, lengths)

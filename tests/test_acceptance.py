@@ -18,10 +18,8 @@ import pytest
 from kttrace.autograd import Tape, bce_loss
 from kttrace.data import (
     DatasetSpec,
-    Interaction,
     PreparedDataset,
     Splits,
-    StudentSequence,
     SyntheticConfig,
     build_vocab,
     clean_sequences,
@@ -42,7 +40,7 @@ from kttrace.train import (
     load_checkpoint,
     save_checkpoint,
 )
-from helpers import finite_diff, hand_sequences, max_rel_err, tiny_vocab
+from helpers import finite_diff, hand_sequences, max_rel_err, seq_of, tiny_vocab
 from oracles import oracle_gate_gradients, pairwise_auc
 import experiment
 
@@ -206,8 +204,7 @@ def test_criterion_07_auc_oracle_and_accuracy():
 def test_criterion_08_preprocessing_protocol():
     with criterion(8, "length filtering, segmentation and disjoint splits"):
         def seq(sid, length):
-            rows = [Interaction(j % 7, (j % 3,), j % 2, 100 * j) for j in range(length)]
-            return StudentSequence(sid, rows)
+            return seq_of(sid, [(j % 7, (j % 3,), j % 2, 100 * j) for j in range(length)])
 
         fixture = [seq("a", 2), seq("b", 3), seq("c", 200), seq("d", 450)]
         cleaned = clean_sequences(fixture)

@@ -285,13 +285,17 @@ def _recorded_op(op, rng):
     if op == "next_step":
         x = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
         return [x], [], lambda: next_step(x)
+    if op == "mul":
+        x = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
+        mask = (rng.random(size=(2, 5, 1)) < 0.5).astype(np.float64)
+        return [x], [mask], lambda: mul(x, Tensor(mask))
     table = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     ids = np.array([[0, 2, 2, 1], [3, 0, 2, 2]])
     return [table], [ids], lambda: embedding_lookup(table, ids)
 
 
 @pytest.mark.parametrize("op", ["sigmoid", "causal_attention", "embedding_lookup",
-                                "next_step"])
+                                "next_step", "mul"])
 def test_backward_reuses_no_buffer_it_does_not_own(op):
     rng = np.random.default_rng(13)
     leaves, constants, call = _recorded_op(op, rng)
@@ -306,6 +310,9 @@ def test_backward_reuses_no_buffer_it_does_not_own(op):
     g_before = g.copy()
 
     first = node.bwd(g)
+    if op == "mul":   # the constant mask gets no gradient
+        assert first[1] is None
+        first = first[:1]
     first_copy = [a.copy() for a in first]
     second = node.bwd(g)
     for a, b, c in zip(first_copy, first, second):

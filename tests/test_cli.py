@@ -239,6 +239,22 @@ def test_malformed_dataset_file_is_data_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("old,new", [("5,6,7", "5,6,99999999999999999999"),
+                                     ("0,1_3,2", "0,1_-99999999999999999999,2")],
+                         ids=["huge-timestamp", "huge-negative-kc"])
+def test_token_beyond_int64_is_data_error(tmp_path, capsys, old, new):
+    path = write_config(tmp_path)
+    data = tmp_path / "run" / "data"
+    data.mkdir(parents=True)
+    block = "{},3\n1,2,3\n0,1_3,2\n0,1,1\n5,6,7\n"
+    (data / "rich0.txt").write_text("\n".join(block.format(s) for s in "abcd"))
+    code, _ = run_cli(capsys, "preprocess", "--config", str(path), "--dataset", "rich0")
+    assert code == 0
+    (data / "rich0.txt").write_text(block.format("e").replace(old, new))
+    code, _ = run_cli(capsys, "preprocess", "--config", str(path), "--dataset", "rich0")
+    assert code == 2
+
+
 def _checkpoint_with_header(header_obj):
     """A checkpoint file with an empty payload and a valid digest."""
     header = json.dumps(header_obj).encode("utf-8")

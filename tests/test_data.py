@@ -1,11 +1,15 @@
+import dataclasses
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kttrace.data import (
     DataFormatError,
     DatasetSpec,
-    Interaction,
-    StudentSequence,
     SyntheticConfig,
     build_vocab,
     clean_sequences,
@@ -17,13 +21,14 @@ from kttrace.data import (
     simulate_sequences,
     write_blocks,
 )
+from helpers import seq_of
+from oracles import oracle_pack
 
 BLOCK = "s1,3\n10,11,10\n2_3,4,2\n1,0,1\n100,200,300\n"
 
 
 def make_seq(sid, length, q0=0):
-    rows = [Interaction(q0 + j % 5, (j % 3,), j % 2, 1000 * j) for j in range(length)]
-    return StudentSequence(sid, rows)
+    return seq_of(sid, [(q0 + j % 5, (j % 3,), j % 2, 1000 * j) for j in range(length)])
 
 
 # ---------------------------------------------------------------------------
@@ -37,10 +42,10 @@ def test_ingest_block(tmp_path):
     assert len(seqs) == 1
     seq = seqs[0]
     assert seq.student_id == "s1" and len(seq) == 3
-    assert seq.interactions[0].kc_ids == (2, 3)
-    assert seq.interactions[0].question_id == 10
-    assert [r.response for r in seq.interactions] == [1, 0, 1]
-    assert [r.timestamp for r in seq.interactions] == [100, 200, 300]
+    assert seq.kcs.tolist() == [[2, 3], [4, -1], [2, -1]]
+    assert seq.questions.tolist() == [10, 11, 10]
+    assert seq.responses.tolist() == [1, 0, 1]
+    assert seq.timestamps.tolist() == [100, 200, 300]
 
 
 def test_ingest_empty_file(tmp_path):
@@ -79,12 +84,99 @@ def test_roundtrip_write_then_ingest(tmp_path):
         for j in range(int(rng.integers(3, 12))):
             ts += int(rng.integers(0, 5000))
             kcs = tuple(sorted(rng.choice(9, size=int(rng.integers(1, 4)), replace=False).tolist()))
-            rows.append(Interaction(int(rng.integers(0, 40)), kcs, int(rng.integers(0, 2)), ts))
-        seqs.append(StudentSequence(f"u{s}", rows))
+            rows.append((int(rng.integers(0, 40)), kcs, int(rng.integers(0, 2)), ts))
+        seqs.append(seq_of(f"u{s}", rows, width=3))   # the widest set here has 3 KCs
     p = tmp_path / "rt.txt"
     write_blocks(seqs, p)
     back = ingest(p)
     assert back == seqs
+
+
+# One fault in the middle block of three; line numbers count from the file's top.
+SINGLE_FAULTS = [
+    ("1,0,1", "1,2,1", "line 10: response must be 0 or 1, got 2"),
+    ("100,200,300", "-5,200,300", "line 11: negative timestamp -5"),
+    ("100,200,300", "100,300,200", "line 11: timestamps must be non-decreasing"),
+    ("2_3,4,2", "2_3,,2", "line 9: empty KC set in column 2"),
+    ("2_3,4,2", "2_3,4,x", "line 9: bad KC set 'x'"),
+    ("10,11,10", "10,-11,10", "line 8: negative ID in column 2"),
+    ("2_3,4,2", "2_3,4,2_-1", "line 8: negative ID in column 3"),
+]
+
+
+@pytest.mark.parametrize("old,new,message", SINGLE_FAULTS, ids=[
+    "bad-response", "negative-timestamp", "decreasing-timestamp", "empty-kc-set",
+    "bad-kc-token", "negative-question", "negative-kc"])
+def test_ingest_single_fault_message_and_line(tmp_path, old, new, message):
+    p = tmp_path / "d.txt"
+    p.write_text(BLOCK + "\n" + BLOCK.replace(old, new) + "\n" + BLOCK)
+    with pytest.raises(DataFormatError) as info:
+        ingest(p)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("middle,last,message", [
+    # the earliest bad attempt wins; within one attempt, the response is checked first
+    ("s1,3\n10,11,10\n2_3,4,2\n1,0,5\n100,-200,300\n", BLOCK,
+     "line 11: negative timestamp -200"),
+    ("s1,3\n10,11,10\n2_3,4,2\n1,7,1\n100,-200,300\n", BLOCK,
+     "line 10: response must be 0 or 1, got 7"),
+    # a parse fault anywhere in the file wins over a bad value before it
+    (BLOCK.replace("1,0,1", "1,2,1"), BLOCK.replace("2_3,4,2", "2_3,4,x"),
+     "line 15: bad KC set 'x'"),
+], ids=["earliest-attempt-wins", "response-checked-first", "parse-fault-wins"])
+def test_ingest_reports_one_of_several_faults(tmp_path, middle, last, message):
+    p = tmp_path / "d.txt"
+    p.write_text(BLOCK + "\n" + middle + "\n" + last)
+    with pytest.raises(DataFormatError) as info:
+        ingest(p)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("old,line", [("10,11,10", 2), ("2_3,4,2", 3), ("1,0,1", 4),
+                                      ("100,200,300", 5)])
+@pytest.mark.parametrize("huge", [2**63, -2**63 - 1])
+def test_ingest_rejects_tokens_beyond_int64(tmp_path, old, line, huge):
+    p = tmp_path / "d.txt"
+    first, rest = old.split(",", 1)
+    p.write_text(BLOCK + "\n" + BLOCK.replace(old, f"{first}_{huge},{rest}" if line == 3
+                                                  else f"{huge},{rest}"))
+    with pytest.raises(DataFormatError, match=f"^line {line + 6}: .* does not fit in 64 bits"):
+        ingest(p)
+
+
+def test_ingest_shares_one_array_per_field(tmp_path):
+    p = tmp_path / "d.txt"
+    p.write_text(BLOCK + "\n" + BLOCK.replace("s1", "s2"))
+    a, b = ingest(p)
+    for field in ("questions", "kcs", "responses", "timestamps"):
+        whole = getattr(a, field).base
+        assert whole is not None and getattr(b, field).base is whole
+
+
+@st.composite
+def sequences(draw):
+    out = []
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(1, 6))
+        ids = st.integers(0, 2**63 - 1)
+        rows = zip(draw(st.lists(ids, min_size=n, max_size=n)),
+                   draw(st.lists(st.sets(ids, min_size=1, max_size=3), min_size=n, max_size=n)),
+                   draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                   np.cumsum(draw(st.lists(st.integers(0, 2**40), min_size=n, max_size=n))))
+        sid = draw(st.from_regex(r"[A-Za-z0-9_,.-]{1,8}", fullmatch=True))
+        out.append([sid, [(q, tuple(sorted(k)), r, int(t)) for q, k, r, t in rows]])
+    widest = max((len(row[1]) for _, rows in out for row in rows), default=1)
+    return [seq_of(sid, rows, width=widest) for sid, rows in out]   # as ingest pads a file
+
+
+@settings(max_examples=60, deadline=None)
+@given(sequences())
+def test_ingest_inverts_write_blocks(seqs):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "rt.txt"
+        write_blocks(seqs, path)
+        assert ingest(path) == seqs
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +196,8 @@ def test_long_sequence_segmented():
     out = clean_sequences([make_seq("a", 450)])
     assert [len(s) for s in out] == [200, 200, 50]
     # segments are consecutive, not overlapping
-    flat = [r for s in out for r in s.interactions]
-    assert flat == make_seq("a", 450).interactions
+    whole = make_seq("a", 450)
+    assert out == [whole[:200], whole[200:400], whole[400:]]
 
 
 def test_trailing_short_segment_dropped():
@@ -159,17 +251,21 @@ def test_vocab_offsets_concatenate():
 def test_vocab_translate_offset_arithmetic():
     v = vocab_two()
     assert v.question_to_global(1, 7) == 107
-    assert v.question_from_global(107) == (1, 7)
+    assert v.kc_to_global(1, 4) == 14
+    local = np.array([[0, 49], [50, -1]])
+    assert v.question_to_global(1, local).tolist() == [[100, 149], [151, 151]]
+    assert v.kc_to_global(0, local).tolist() == [[0, 15], [15, 15]]
 
 
 def test_vocab_bijective_per_dataset():
     v = vocab_two()
-    for d, n in ((0, 100), (1, 50)):
-        globals_seen = {v.question_to_global(d, i) for i in range(n)}
-        assert len(globals_seen) == n
-        for g in globals_seen:
-            dd, local = v.question_from_global(g)
-            assert dd == d and v.question_to_global(dd, local) == g
+    for to_global, sizes, total in ((v.question_to_global, (100, 50), v.total_questions),
+                                    (v.kc_to_global, (10, 5), v.total_kcs)):
+        ranges = [to_global(d, np.arange(n)) for d, n in enumerate(sizes)]
+        for d, rows in enumerate(ranges):   # injective onto one contiguous block
+            assert np.array_equal(rows, rows[0] + np.arange(sizes[d]))
+        joined = np.concatenate(ranges)   # blocks are disjoint and tile [0, total)
+        assert sorted(joined.tolist()) == list(range(total))
 
 
 def test_vocab_unknown_ids_map_to_reserved_rows():
@@ -244,9 +340,33 @@ def test_pack_segments_shapes_and_masks():
     assert batch.pred_mask[0, :, 0].tolist() == [1, 1, 1, 0, 0, 0]
     assert batch.pred_mask[1, :, 0].tolist() == [1, 1, 1, 1, 1, 0]
     # targets are next-step responses
-    assert batch.targets[1, 0, 0] == segs[1].interactions[1].response
+    assert batch.targets[1, 0, 0] == segs[1].responses[1]
     # padding uses the dataset's reserved row
     assert batch.questions[0, 5] == v.unk_question(1)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pack_segments_matches_the_per_interaction_oracle(seed):
+    rng = np.random.default_rng(seed)
+    v = vocab_two()
+    d = int(rng.integers(0, 2))
+    nq, nk = (100, 10) if d == 0 else (50, 5)
+    segs = []
+    for s in range(int(rng.integers(1, 7))):
+        rows = [(int(rng.integers(0, nq + 20)),    # some IDs unseen -> UNK
+                 tuple(sorted(rng.choice(nk + 3, size=int(rng.integers(1, 4)), replace=False))),
+                 int(rng.integers(0, 2)), 10 * j)
+                for j in range(int(rng.integers(1, 12)))]
+        segs.append(seq_of(f"s{s}", rows, width=int(rng.integers(3, 6))))  # stored width > K
+    for dtype in (np.float32, np.float64):
+        got, want = pack_segments(segs, v, d, dtype=dtype), oracle_pack(segs, v, d, dtype=dtype)
+        for f in dataclasses.fields(got):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and a.shape == b.shape, f.name
+                assert a.tobytes() == b.tobytes(), f.name
+            else:
+                assert a == b, f.name
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +378,7 @@ def test_synthetic_zero_spread_rate_half():
                           ability_spread=0.0, difficulty_spread=0.0,
                           learning_rate_per_exposure=0.0, mean_seq_len=40, seed=1)
     seqs, _ = generate_synthetic(cfg)
-    responses = [r.response for s in seqs for r in s.interactions]
+    responses = np.concatenate([s.responses for s in seqs])
     assert len(responses) >= 10000
     assert abs(np.mean(responses) - 0.5) < 0.02
 
@@ -270,7 +390,7 @@ def test_synthetic_saturated_ability_all_correct():
     seqs, probs = simulate_sequences(theta, difficulty, question_kcs, n_kcs=4,
                                      learning_rate=0.0, mean_seq_len=20,
                                      rng=np.random.default_rng(4))
-    assert all(r.response == 1 for s in seqs for r in s.interactions)
+    assert all(s.responses.all() for s in seqs)
     # failure probability per interaction under sigmoid(10)
     assert all(1.0 - p < 1e-4 for ps in probs for p in ps)
 
@@ -278,7 +398,7 @@ def test_synthetic_saturated_ability_all_correct():
 def test_synthetic_empirical_rate_matches_stored_probabilities():
     cfg = SyntheticConfig(seed=7)
     seqs, truth = generate_synthetic(cfg)
-    responses = [r.response for s in seqs for r in s.interactions]
+    responses = np.concatenate([s.responses for s in seqs])
     assert abs(np.mean(responses) - truth.mean_probability()) < 0.01
 
 
@@ -292,8 +412,8 @@ def test_synthetic_learning_raises_second_half_rate():
         first, second = [], []
         for s in seqs:
             half = len(s) // 2
-            first.extend(r.response for r in s.interactions[:half])
-            second.extend(r.response for r in s.interactions[half:])
+            first.extend(s.responses[:half])
+            second.extend(s.responses[half:])
         gaps.append(np.mean(second) - np.mean(first))
     assert np.mean(gaps) >= 0
 

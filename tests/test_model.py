@@ -7,8 +7,6 @@ from hypothesis.extra.numpy import arrays
 from kttrace.autograd import Tape, Tensor, bce_loss, mean_over_axis, mul
 from kttrace.data import (
     DatasetSpec,
-    Interaction,
-    StudentSequence,
     build_vocab,
     pack_segments,
 )
@@ -19,7 +17,7 @@ from kttrace.model import (
     parameter_count,
     zero_shot_adapt,
 )
-from helpers import build_tiny, hand_sequences, tiny_config, tiny_vocab
+from helpers import build_tiny, hand_sequences, seq_of, tiny_config, tiny_vocab
 from oracles import oracle_forward
 
 
@@ -87,9 +85,9 @@ def test_build_is_seed_deterministic():
 
 def test_encode_single_kc_collapses_to_that_embedding():
     model, vocab = build_tiny()
-    seq = StudentSequence("a", [Interaction(1, (3,), 1, 0),
-                                Interaction(1, (3,), 1, 60),
-                                Interaction(1, (3,), 0, 120)])
+    seq = seq_of("a", [(1, (3,), 1, 0),
+                       (1, (3,), 1, 60),
+                       (1, (3,), 0, 120)])
     enc = model.encode_steps(pack_segments([seq], vocab, 0, dtype=model.dtype))[0].data
     P = {k: v.data for k, v in model.parameters().items()}
     expected0 = (P["emb.question"][vocab.question_to_global(0, 1)]
@@ -130,7 +128,7 @@ def test_encode_zero_tables_gives_zero():
 
 def test_encode_rejects_overlong_sequence():
     model, vocab = build_tiny(max_seq_len=4)
-    seq = StudentSequence("a", [Interaction(0, (0,), 1, t) for t in range(5)])
+    seq = seq_of("a", [(0, (0,), 1, t) for t in range(5)])
     with pytest.raises(ValueError, match="max_seq_len"):
         model.encode_steps(pack_segments([seq], vocab, 0, dtype=model.dtype))
 
@@ -194,8 +192,8 @@ def test_padding_invariance():
     np.testing.assert_array_equal(base[1], pert[1])
 
 
-PADDED_SEQS = hand_sequences() + [StudentSequence("c", [
-    Interaction(q, (q % 6,), q % 2, 60 * q) for q in range(6)])]  # lengths 3, 4, 6
+PADDED_SEQS = hand_sequences() + [seq_of("c", [
+    (q, (q % 6,), q % 2, 60 * q) for q in range(6)])]  # lengths 3, 4, 6
 
 
 @settings(deadline=None, max_examples=50)
@@ -269,9 +267,9 @@ def test_adapt_smoke_and_isolation():
     before = model.copy_arrays()
     adapted = zero_shot_adapt(model, "new", n_questions=8, n_kcs=4, seed=1)
     assert adapted.vocab.n_datasets == 3
-    seq = StudentSequence("x", [Interaction(0, (0,), 1, 0),
-                                Interaction(7, (3,), 0, 60),
-                                Interaction(4, (1, 2), 1, 120)])
+    seq = seq_of("x", [(0, (0,), 1, 0),
+                       (7, (3,), 0, 60),
+                       (4, (1, 2), 1, 120)])
     batch = pack_segments([seq], adapted.vocab, 2, dtype=adapted.dtype)
     probs = adapted.predict_batch(batch)
     assert np.isfinite(probs).all() and ((probs > 0) & (probs < 1)).all()
@@ -296,9 +294,9 @@ def test_adapt_zero_noise_makes_questions_interchangeable():
     adapted = zero_shot_adapt(model, "new", 8, 4, seed=2, noise_std=0.0)
 
     def run(question_ids):
-        rows = [Interaction(q, (1,), r, 60 * j)
+        rows = [(q, (1,), r, 60 * j)
                 for j, (q, r) in enumerate(zip(question_ids, [1, 0, 1]))]
-        batch = pack_segments([StudentSequence("x", rows)], adapted.vocab, 2,
+        batch = pack_segments([seq_of("x", rows)], adapted.vocab, 2,
                               dtype=adapted.dtype)
         return adapted.predict_batch(batch)
 
