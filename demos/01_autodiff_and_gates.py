@@ -8,7 +8,7 @@ changing the forward value.
 import numpy as np
 
 from kttrace.autograd import (
-    GateParam, Tape, Tensor, gate_apply, matmul, mean_over_axis, mul, sigmoid,
+    Tape, Tensor, gate_apply, matmul, mean_over_axis, mul, sigmoid,
 )
 
 print("== a scalar chain ==")
@@ -41,12 +41,12 @@ print("\n== virtual gates ==")
 # multiply an all-ones gate into a layer output: the value is unchanged,
 # but the gate's gradient reads off how much each unit matters
 layer_out = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-gate = GateParam(3, dtype=np.float64)
+gate = Tensor(np.ones(3), requires_grad=True, name="gate")
 with Tape() as tape:
     gated = gate_apply(layer_out, gate)
     loss = mean_over_axis(mean_over_axis(sigmoid(gated), 1), 0)
 tape.backward(loss)
 plain = sigmoid(layer_out).data
 print("forward unchanged by the gate:", np.allclose(plain, sigmoid(gated).data))
-print("per-unit gate gradient:", np.round(gate.captured_grad, 5))
+print("per-unit gate gradient:", np.round(gate.grad, 5))
 print("(unit with the largest |gradient| is the most loss-relevant)")

@@ -5,7 +5,7 @@ reads per-layer unit importance off virtual gate gradients on a target
 dataset, and fine-tunes with importance-modulated gradients.
 """
 
-from .autograd import GateParam, Tape, Tensor
+from .autograd import Tape, Tensor
 from .data import (
     DatasetSpec,
     GlobalVocab,
@@ -24,7 +24,7 @@ from .model import PRESETS, KTModel, ModelConfig, zero_shot_adapt
 __version__ = "0.1.0"
 
 __all__ = [
-    "GateParam", "Tape", "Tensor",
+    "Tape", "Tensor",
     "DatasetSpec", "GlobalVocab", "PreparedDataset",
     "StudentSequence", "SyntheticConfig", "build_vocab", "generate_synthetic",
     "ingest", "mix_batches", "preprocess", "write_blocks",

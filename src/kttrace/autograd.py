@@ -7,9 +7,9 @@ dropout, mean over an axis, causal attention, gate application and the
 masked BCE loss), records them on an explicit tape, and replays the tape
 once per backward pass (:meth:`Tape.backward`). A test fails if any
 public function here goes unused by a gated training step, so dead ops
-do not accumulate. Virtual gate parameters (all-ones vectors multiplied
-into a layer's output) ride the same machinery, so their gradients can
-be read off without ever being applied as an update.
+do not accumulate. Gates are plain all-ones leaf tensors multiplied into
+a layer's output, so their gradients can be read off ``Tensor.grad``
+without ever being applied as an update.
 
 Float32 is the working precision; float64 exists for verification
 (finite-difference checks are unreliable at 32-bit). Over every finite
@@ -452,43 +452,20 @@ def causal_attention(q, k, v, n_head):
     return _record(out, (q, k, v), bwd)
 
 
-class GateParam:
-    """Virtual all-ones parameter multiplied into a layer's output.
-
-    The values stay at 1 for the lifetime of an importance run; only the
-    gradient captured on backward is consumed, never an update.
-    """
-
-    def __init__(self, width, dtype=np.float32, name=None):
-        self.values = Tensor(np.ones(width, dtype=dtype), requires_grad=True, name=name)
-
-    @property
-    def width(self):
-        return self.values.shape[0]
-
-    @property
-    def captured_grad(self):
-        if self.values.grad is None:
-            return np.zeros_like(self.values.data)
-        return self.values.grad
-
-    def reset_grad(self):
-        self.values.grad = None
-
-
 def gate_apply(layer_output, gate):
-    """Multiply a [*, width] layer output by an all-ones gate vector.
+    """Multiply a [*, width] layer output by an all-ones gate tensor.
 
-    Numerically the identity; its purpose is putting the gate on the tape
-    so backward captures d(loss)/d(gate) per output unit.
+    Numerically the identity; its purpose is putting the gate, a leaf
+    with ``requires_grad``, on the tape so backward leaves
+    d(loss)/d(gate) per output unit in ``gate.grad``.
     """
     x = _as_tensor(layer_output)
-    if gate.width != x.shape[-1]:
-        raise ShapeError(f"gate_apply: gate width {gate.width} does not match "
+    if gate.shape[-1] != x.shape[-1]:
+        raise ShapeError(f"gate_apply: gate width {gate.shape[-1]} does not match "
                          f"output feature width {x.shape[-1]}")
-    if not np.all(gate.values.data == 1.0):
+    if not np.all(gate.data == 1.0):
         raise ValueError("gate_apply: gate values must all be 1")
-    return mul(x, gate.values)
+    return mul(x, gate)
 
 
 def bce_loss(probs, targets, mask):

@@ -106,7 +106,7 @@ def _parse_int_row(raw, line_no, what):
                 raise DataFormatError(f"line {line_no}: bad {what} value {tok.strip()!r}") from None
 
 
-def ingest(path, spec=None):
+def ingest(path):
     """Parse a block-format file into one StudentSequence per block.
 
     Tokens are parsed with ``int``. Of several faults, the first parse

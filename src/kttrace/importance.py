@@ -140,9 +140,7 @@ def compute_importance(model, prepared, batch_size=1, normalize=True):
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     gates = model.make_gates()
-    for gate in gates.values():
-        gate.reset_grad()
-    acc = {lid: np.zeros(g.width, dtype=model.dtype) for lid, g in gates.items()}
+    acc = {lid: np.zeros(g.shape[-1], dtype=model.dtype) for lid, g in gates.items()}
     n = len(segments)
     for start in range(0, n, batch_size):
         chunk = segments[start:start + batch_size]
@@ -153,8 +151,8 @@ def compute_importance(model, prepared, batch_size=1, normalize=True):
             loss = bce_loss(probs, batch.targets, batch.pred_mask)
         tape.backward(loss)
         for lid, gate in gates.items():
-            acc[lid] += np.abs(gate.captured_grad)
-            gate.reset_grad()
+            acc[lid] += np.abs(gate.grad)
+            gate.zero_grad()
 
     profile = ImportanceProfile(dataset=prepared.spec.name, n_samples=n)
     for (block, kind), total in acc.items():

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autograd as ag
-from .autograd import GateParam, Tensor
+from .autograd import Tensor
 
 INIT_STD = 0.02
 
@@ -99,7 +99,6 @@ def _parameter_specs(config, vocab):
             (f"block{i}.attn.wq", (d, d), "weight"),
             (f"block{i}.attn.bq", (d,), "bias"),
             (f"block{i}.attn.wk", (d, d), "weight"),
-            (f"block{i}.attn.bk", (d,), "bias"),
             (f"block{i}.attn.wv", (d, d), "weight"),
             (f"block{i}.attn.bv", (d,), "bias"),
             (f"block{i}.attn.wo", (d, d), "weight"),
@@ -194,7 +193,7 @@ class KTModel:
         out = OrderedDict()
         for i in range(self.config.n_layers):
             out[(i, "attention")] = [f"block{i}.attn.{p}" for p in
-                                     ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
+                                     ("wq", "bq", "wk", "wv", "bv", "wo", "bo")]
             out[(i, "intermediate")] = [f"block{i}.inter.w", f"block{i}.inter.b"]
             out[(i, "output")] = [f"block{i}.output.w", f"block{i}.output.b"]
         return out
@@ -209,8 +208,10 @@ class KTModel:
         return out
 
     def make_gates(self):
+        """All-ones gate leaves, one per gated sublayer; only their grads are read."""
         return OrderedDict(
-            (lid, GateParam(w, dtype=self.dtype, name=f"gate.{lid[0]}.{lid[1]}"))
+            (lid, Tensor(np.ones(w, dtype=self.dtype), requires_grad=True,
+                         name=f"gate.{lid[0]}.{lid[1]}"))
             for lid, w in self.gate_widths().items())
 
     # -- forward ------------------------------------------------------------
@@ -260,7 +261,8 @@ class KTModel:
         for i in range(self.config.n_layers):
             z = ag.layer_norm(h, P[f"block{i}.ln1.gain"], P[f"block{i}.ln1.bias"])
             q = self._linear(z, f"block{i}.attn.wq", f"block{i}.attn.bq")
-            k = self._linear(z, f"block{i}.attn.wk", f"block{i}.attn.bk")
+            # no key bias: q.bk shifts a whole score row, which softmax cancels
+            k = ag.matmul(z, P[f"block{i}.attn.wk"], transpose_b=True)
             v = self._linear(z, f"block{i}.attn.wv", f"block{i}.attn.bv")
             a = ag.causal_attention(q, k, v, self.config.n_head)
             a = self._linear(a, f"block{i}.attn.wo", f"block{i}.attn.bo")
@@ -273,8 +275,7 @@ class KTModel:
             inter = ag.sigmoid(self._linear(z2, f"block{i}.inter.w", f"block{i}.inter.b"))
             if gates is not None:
                 inter = ag.gate_apply(inter, gates[(i, "intermediate")])
-            out = ag.matmul(inter, P[f"block{i}.output.w"], transpose_b=True)
-            out = ag.add(out, P[f"block{i}.output.b"])
+            out = self._linear(inter, f"block{i}.output.w", f"block{i}.output.b")
             if gates is not None:
                 out = ag.gate_apply(out, gates[(i, "output")])
             out = ag.dropout(out, drop_p, rng)

@@ -125,10 +125,7 @@ class Adam:
         c1 = 1.0 - ADAM_BETA1 ** self.t
         c2 = 1.0 - ADAM_BETA2 ** self.t
         for name, p in self.params.items():
-            g = grads.get(name)
-            if g is None:
-                g = np.zeros_like(p.data)
-            g = g.astype(p.data.dtype, copy=False)
+            g = grads[name].astype(p.data.dtype, copy=False)
             new_m = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
             new_v = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * (g * g)
             update = self.lr * (new_m / c1) / (np.sqrt(new_v / c2) + ADAM_EPS)
@@ -344,18 +341,14 @@ def fit(model, datasets, config, profile=None, stage="train"):
                     loss = bce_loss(probs, batch.targets, batch.pred_mask)
             except NumericalError as exc:
                 raise TrainingDivergedError(epoch, step, history) from exc
-            loss_val = loss.item()
-            if not np.isfinite(loss_val):
-                raise TrainingDivergedError(epoch, step, history)
             tape.backward(loss)
-            grads = {n: t.grad for n, t in model.parameters().items()
-                     if t.grad is not None}
+            grads = {n: t.grad for n, t in model.parameters().items()}
             if profile is not None:
                 grads = modulate(grads, profile, gated)
             if config.clip_norm:
                 grads, _ = clip_gradients(grads, config.clip_norm)
             adam.step(grads, frozen=masks)
-            history.append(loss_val)
+            history.append(loss.item())
             step += 1
         reports = evaluate(model, [(d.spec.name, d.spec.dataset_index, "valid",
                                     d.splits.valid) for d in datasets],

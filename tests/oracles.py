@@ -75,7 +75,7 @@ def _attention(P, prefix, z, D, H):
     T = len(z)
     dh = D // H
     qp = [_linear(z[t], P[f"{prefix}.wq"], P[f"{prefix}.bq"]) for t in range(T)]
-    kp = [_linear(z[t], P[f"{prefix}.wk"], P[f"{prefix}.bk"]) for t in range(T)]
+    kp = [_linear(z[t], P[f"{prefix}.wk"], [0.0] * D) for t in range(T)]  # keys: no bias
     vp = [_linear(z[t], P[f"{prefix}.wv"], P[f"{prefix}.bv"]) for t in range(T)]
     ctx = [[0.0] * D for _ in range(T)]
     for head in range(H):

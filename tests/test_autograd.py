@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 import kttrace.autograd as ag
 from kttrace.autograd import (
-    GateParam,
     GraphError,
     NumericalError,
     ShapeError,
@@ -149,8 +148,12 @@ def test_causal_attention_ignores_future():
 # gates
 
 
+def ones_gate(width, dtype=np.float32):
+    return Tensor(np.ones(width, dtype=dtype), requires_grad=True)
+
+
 def test_gate_apply_is_identity():
-    gate = GateParam(2)
+    gate = ones_gate(2)
     x = Tensor([0.2, -1.5])
     out = gate_apply(x, gate)
     np.testing.assert_array_equal(out.data, x.data)
@@ -159,22 +162,22 @@ def test_gate_apply_is_identity():
 def test_gate_gradient_of_sum_is_layer_output():
     # L = sum(g * o) via mean * n; dL/dg = o
     o = Tensor(np.array([0.2, -1.5]), requires_grad=True)
-    gate = GateParam(2, dtype=np.float64)
+    gate = ones_gate(2, dtype=np.float64)
     with Tape() as tape:
         gated = gate_apply(o, gate)
         loss = mul(mean_over_axis(gated, 0), Tensor(np.float64(2.0)))
     tape.backward(loss)
-    np.testing.assert_allclose(gate.captured_grad, [0.2, -1.5], rtol=1e-12)
+    np.testing.assert_allclose(gate.grad, [0.2, -1.5], rtol=1e-12)
 
 
 def test_gate_width_mismatch():
     with pytest.raises(ShapeError):
-        gate_apply(Tensor(np.ones((2, 3))), GateParam(4))
+        gate_apply(Tensor(np.ones((2, 3))), ones_gate(4))
 
 
 def test_gate_values_must_stay_ones():
-    gate = GateParam(3)
-    gate.values.data[1] = 2.0
+    gate = ones_gate(3)
+    gate.data[1] = 2.0
     with pytest.raises(ValueError):
         gate_apply(Tensor(np.ones(3)), gate)
 
@@ -437,7 +440,7 @@ def test_grad_gate_through_composition():
     rng = np.random.default_rng(12)
     x = rng.normal(size=(2, 3, 4))
     w = rng.normal(size=(4, 4))
-    gate = GateParam(4, dtype=np.float64)
+    gate = ones_gate(4, dtype=np.float64)
     xt = Tensor(x, requires_grad=True)
     wt = Tensor(w, requires_grad=True)
     with Tape() as tape:
@@ -456,7 +459,7 @@ def test_grad_gate_through_composition():
         up[i] += h_
         down[i] -= h_
         fd[i] = (loss_fn(up) - loss_fn(down)) / (2 * h_)
-    assert max_rel_err(grads[gate.values], fd) < 1e-4
+    assert max_rel_err(grads[gate], fd) < 1e-4
 
 
 def test_determinism_bitwise():

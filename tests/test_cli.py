@@ -6,13 +6,22 @@ import struct
 import subprocess
 import sys
 import warnings
+from collections import OrderedDict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kttrace
 from kttrace.cli import main
-from kttrace.model import KTModel
+from kttrace.data import DatasetSpec, build_vocab
+from kttrace.model import KTModel, ModelConfig
+from kttrace.train import (
+    Checkpoint,
+    CheckpointFormatError,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 
 def run_cli(capsys, *argv):
@@ -262,6 +271,27 @@ def _checkpoint_with_header(header_obj):
             + hashlib.sha256(header).digest())
 
 
+def _checkpoint_with_key_biases(tmp_path):
+    """A checkpoint of the layout that listed an attn.bk array after each
+    attn.wk, with a valid digest; the same model without them loads."""
+    vocab = build_vocab([DatasetSpec("low", 0)], {"low": (3, 2)})
+    config = ModelConfig(n_layers=2, d_model=4, n_head=2, d_ff=4).sized_for(vocab)
+    ckpt = Checkpoint.from_model(KTModel.build(config, vocab, seed=0), [], {})
+    path = tmp_path / "key-biases.lrkt"
+    save_checkpoint(ckpt, path)
+    load_checkpoint(path)
+    params = OrderedDict()
+    for name, arr in ckpt.params.items():
+        params[name] = arr
+        if name.endswith("attn.wk"):
+            params[name[:-1] + "bk"] = np.zeros(4, dtype="<f4")
+    ckpt.params = params
+    save_checkpoint(ckpt, path)
+    with pytest.raises(CheckpointFormatError, match="manifest"):
+        load_checkpoint(path)
+    return path.read_bytes()
+
+
 def _eval_in_child(config, checkpoint, limit=1 << 30):
     """``kttrace eval`` in a child process with ``limit`` bytes of address space."""
     script = ("import resource, sys\n"
@@ -296,6 +326,7 @@ def test_corrupt_checkpoint_is_data_error(tmp_path, capsys):
         "manifest-mismatch": _checkpoint_with_header(model()),
         "zero-heads": _checkpoint_with_header(model(n_head=0)),
         "huge-width": _checkpoint_with_header(model(d_model=1e300)),
+        "key-biases": _checkpoint_with_key_biases(tmp_path),
     }
     for case, blob in inputs.items():
         bad = tmp_path / f"{case}.lrkt"

@@ -1,5 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kttrace.autograd import Tape, bce_loss, mul, Tensor
 from kttrace.data import PreparedDataset, DatasetSpec, Splits, pack_segments
@@ -185,7 +189,7 @@ def test_scale_covariance_power_of_two():
     normed = compute_importance(model, prepared, batch_size=1, normalize=True)
 
     gates = model.make_gates()
-    acc = {lid: np.zeros(g.width) for lid, g in gates.items()}
+    acc = {lid: np.zeros(g.shape[-1]) for lid, g in gates.items()}
     for seq in prepared.splits.train:
         batch = pack_segments([seq], vocab, 0, dtype=model.dtype)
         with Tape() as tape:
@@ -194,8 +198,8 @@ def test_scale_covariance_power_of_two():
                        Tensor(np.float64(2.0)))
         tape.backward(loss)
         for lid, g in gates.items():
-            acc[lid] += np.abs(g.captured_grad)
-            g.reset_grad()
+            acc[lid] += np.abs(g.grad)
+            g.zero_grad()
     n = len(prepared.splits.train)
     for lid in acc:
         scaled = acc[lid] / n
@@ -215,6 +219,66 @@ def test_profile_json_round_trip(tmp_path):
     for lid, imp in profile.layers.items():
         got = back.layers[lid].values.astype(np.float32)
         assert got.tobytes() == imp.values.astype(np.float32).tobytes()
+
+
+PROFILE_MODEL = build_tiny(n_layers=2)[0]
+VALID_PROFILE = constant_profile(PROFILE_MODEL, 1.0).to_json()
+JSON_LEAVES = (st.none() | st.booleans() | st.integers()
+               | st.sampled_from([2 ** 63, -2 ** 63 - 1, 10 ** 400])
+               | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=3))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES, lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=10)
+
+
+def _slots(node):
+    """Every (container, key) pair inside a JSON tree."""
+    keys = list(node) if isinstance(node, dict) else (
+        range(len(node)) if isinstance(node, list) else [])
+    for key in keys:
+        yield node, key
+        yield from _slots(node[key])
+
+
+@st.composite
+def mutated_profiles(draw):
+    """The valid profile document with a few values replaced, dropped or repeated."""
+    doc = copy.deepcopy(VALID_PROFILE)
+    for _ in range(draw(st.integers(1, 3))):
+        node, key = draw(st.sampled_from(list(_slots(doc))))
+        action = draw(st.sampled_from(["replace", "drop", "repeat"]))
+        if action == "replace":
+            node[key] = draw(JSON_VALUES)
+        elif action == "drop":
+            del node[key]
+        elif isinstance(node, list):
+            node.insert(key, copy.deepcopy(node[key]))
+    return doc
+
+
+def _layer0_with(**fields):
+    doc = copy.deepcopy(VALID_PROFILE)
+    doc["layers"][0].update(fields)
+    return doc
+
+
+@settings(deadline=None, max_examples=300)
+@given(JSON_VALUES | mutated_profiles())
+@example(VALID_PROFILE)
+@example(dict(VALID_PROFILE, layers=VALID_PROFILE["layers"] * 2))
+@example(_layer0_with(values=[[1.0] * 4]))
+@example(_layer0_with(values=[True] * 4))
+@example(_layer0_with(block=True))
+@example(_layer0_with(values=[10 ** 400] * 4))
+@example(dict(VALID_PROFILE, n_samples=10 ** 400))
+@example(_layer0_with(values=[float("nan")] * 4))
+@example(_layer0_with(values=[float("inf")] * 4))
+def test_any_json_profile_is_accepted_or_value_error(doc):
+    # what a profile file can hold after json.load: typed errors only
+    try:
+        ImportanceProfile.from_json(doc).check_covers(PROFILE_MODEL.gate_widths())
+    except ValueError:
+        pass
 
 
 # ---------------------------------------------------------------------------

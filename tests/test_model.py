@@ -47,7 +47,7 @@ def test_parameter_count_closed_form():
     d, f, L = 16, 32, 200
     emb = (50 + 2) * d + (10 + 2) * d + 2 * d + 2 * d + 2 * d + L * d
     block = (2 * d            # ln1
-             + 4 * (d * d + d)  # q/k/v/o projections
+             + 4 * d * d + 3 * d  # q/k/v/o projections; keys have no bias
              + 2 * d            # ln2
              + (f * d + f)      # intermediate
              + (d * f + d))     # output
@@ -146,6 +146,22 @@ def test_zero_head_predicts_exactly_half():
     assert (probs == 0.5).all()
 
 
+def test_every_parameter_can_move_a_prediction():
+    # an inert parameter (a key bias, which softmax cancels) is still
+    # stepped by Adam on its rounding-noise gradient
+    model, vocab = build_tiny(n_layers=2)
+    batch = pack_segments(hand_sequences(), vocab, 0, dtype=model.dtype)
+    scored = batch.pred_mask[..., 0] > 0
+    base = model.predict_batch(batch)[scored]
+    rng = np.random.default_rng(0)
+    for name, t in model.parameters().items():
+        saved = t.data.copy()
+        t.data += rng.normal(0.0, 0.5, t.shape)
+        moved = np.abs(model.predict_batch(batch)[scored] - base).max()
+        t.data[...] = saved
+        assert moved > 1e-12, name
+
+
 def test_causality_by_response_perturbation():
     model, vocab = build_tiny(n_layers=2)
     seqs = hand_sequences()
@@ -228,7 +244,7 @@ def test_model_runs_in_its_own_dtype(dtype):
     for name, t in model.parameters().items():
         assert t.grad.dtype == dtype, name
     for lid, gate in gates.items():
-        assert gate.captured_grad.dtype == dtype, lid
+        assert gate.grad.dtype == dtype, lid
 
 
 def test_eval_forward_deterministic():
