@@ -468,11 +468,14 @@ def gate_apply(layer_output, gate):
     return mul(x, gate)
 
 
-def bce_loss(probs, targets, mask):
-    """Masked mean binary cross-entropy over probabilities.
+def bce_loss(probs, targets, mask, total=None):
+    """Masked binary cross-entropy over probabilities, summed and divided
+    by ``total``.
 
-    Probabilities are clamped to [1e-7, 1-1e-7] before the logs; the
-    loss averages over unmasked elements only.
+    Probabilities are clamped to [1e-7, 1-1e-7] before the logs. By
+    default ``total`` is the mask's sum, the mean over unmasked elements;
+    a batch run in parts passes the whole batch's count to every part, so
+    the parts' losses and gradients add up to the whole batch's.
     """
     probs = _as_tensor(probs)
     t = np.asarray(targets.data if isinstance(targets, Tensor) else targets,
@@ -481,9 +484,15 @@ def bce_loss(probs, targets, mask):
     if t.shape != probs.shape or m.shape != probs.shape:
         raise ShapeError(f"bce_loss: probs {probs.shape}, targets {t.shape}, "
                          f"mask {m.shape} must share one shape")
-    total = m.sum()
-    if total == 0:
-        raise ValueError("bce_loss: all elements masked out")
+    scored = m.sum()
+    if total is None:
+        if scored == 0:
+            raise ValueError("bce_loss: all elements masked out")
+        total = scored
+    elif not (total > 0 and total >= scored):
+        raise ValueError(f"bce_loss: total must be positive and at least the mask's "
+                         f"sum {scored:g}, got {total!r}")
+    total = probs.dtype.type(total)
     lo, hi = PROB_CLAMP, 1.0 - PROB_CLAMP
     pc = np.clip(probs.data, lo, hi)
     per = t * np.log(pc) + (1.0 - t) * np.log1p(-pc)

@@ -412,6 +412,23 @@ def pack_segments(segments, vocab, dataset_index, dtype=np.float32):
                        targets, pred_mask, lengths)
 
 
+def pack_by_length(segments, vocab, dataset_index, dtype=np.float32):
+    """One ``pack_segments`` batch per power-of-two length class.
+
+    A segment of length L is in class ``max(L - 1, 1).bit_length()``:
+    lengths 1-2, 3-4, 5-8, 9-16 and so on. Classes come in ascending
+    order and keep the segments' order. Every row of a class is longer
+    than half its longest, so fewer than half of a batch's cells are
+    padding.
+    """
+    if not segments:
+        raise ValueError("cannot pack an empty batch")
+    classes = {}
+    for seg in segments:
+        classes.setdefault(max(len(seg) - 1, 1).bit_length(), []).append(seg)
+    return [pack_segments(classes[c], vocab, dataset_index, dtype) for c in sorted(classes)]
+
+
 def mix_batches(train_lists, batch_size, seed):
     """Yield (dataset position, segment list) batches across datasets.
 

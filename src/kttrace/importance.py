@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autograd import Tape, bce_loss
-from .data import pack_segments
+from .data import pack_by_length
+
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass
@@ -97,6 +99,10 @@ class ImportanceProfile:
             values = np.asarray(_field(entry, "values", list))
             if values.dtype.kind not in "iuf":
                 raise ValueError("importance profile: 'values' must hold numbers")
+            values = values.astype(np.float64)
+            if not ((values >= 0) & (values <= _FLOAT32_MAX)).all():   # NaN fails too
+                raise ValueError("importance profile: 'values' must lie in float32's "
+                                 f"finite non-negative range [0, {_FLOAT32_MAX:.8g}]")
             imp = LayerImportance(_field(entry, "block", int), _field(entry, "kind", str),
                                   values.astype(np.float32))
             if imp.layer_id in profile.layers:
@@ -143,13 +149,14 @@ def compute_importance(model, prepared, batch_size=1, normalize=True):
     acc = {lid: np.zeros(g.shape[-1], dtype=model.dtype) for lid, g in gates.items()}
     n = len(segments)
     for start in range(0, n, batch_size):
-        chunk = segments[start:start + batch_size]
-        batch = pack_segments(chunk, model.vocab, prepared.spec.dataset_index,
-                              dtype=model.dtype)
-        with Tape() as tape:
-            probs = model.forward_batch(batch, gates=gates)
-            loss = bce_loss(probs, batch.targets, batch.pred_mask)
-        tape.backward(loss)
+        parts = pack_by_length(segments[start:start + batch_size], model.vocab,
+                               prepared.spec.dataset_index, dtype=model.dtype)
+        scored = sum(int(part.pred_mask.sum()) for part in parts)
+        for part in parts:   # the gate gradients of a batch's parts add up
+            with Tape() as tape:
+                probs = model.forward_batch(part, gates=gates)
+                loss = bce_loss(probs, part.targets, part.pred_mask, total=scored)
+            tape.backward(loss)
         for lid, gate in gates.items():
             acc[lid] += np.abs(gate.grad)
             gate.zero_grad()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import pack_segments
+from .data import pack_by_length
 
 
 @dataclass
@@ -92,18 +92,22 @@ def collect_predictions(model, segments, dataset_index, batch_size=64):
     """Pooled (probability, label) pairs over all scorable steps of a split.
 
     The first interaction of each segment has no history and is excluded;
-    padded positions are excluded by the batch mask.
+    padded positions are excluded by the batch mask. Segments are scored
+    in length order (shortest first, ties in split order), ``batch_size``
+    at a time and each batch by length class, so little is padded; pooled
+    AUC and accuracy do not depend on the order of the pairs.
     """
     if not segments:
         raise ValueError("cannot evaluate an empty split")
+    ordered = sorted(segments, key=len)
     ps, ys = [], []
-    for start in range(0, len(segments), batch_size):
-        batch = pack_segments(segments[start:start + batch_size], model.vocab,
-                              dataset_index, dtype=model.dtype)
-        probs = model.predict_batch(batch)
-        keep = batch.pred_mask[..., 0] == 1.0
-        ps.append(probs[keep])
-        ys.append(batch.targets[..., 0][keep])
+    for start in range(0, len(ordered), batch_size):
+        for batch in pack_by_length(ordered[start:start + batch_size], model.vocab,
+                                    dataset_index, dtype=model.dtype):
+            probs = model.predict_batch(batch)
+            keep = batch.pred_mask[..., 0] == 1.0
+            ps.append(probs[keep])
+            ys.append(batch.targets[..., 0][keep])
     return np.concatenate(ps), np.concatenate(ys).astype(np.int64)
 
 

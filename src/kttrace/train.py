@@ -1,7 +1,8 @@
 """Training: one loop for pre-training and fine-tuning, and persistence.
 
 ``fit`` is the only training entry point. It runs mixed single-dataset
-batches, masked BCE on next-response predictions, Adam with optional
+batches, each as power-of-two length classes whose gradients add up to
+the batch's, masked BCE on next-response predictions, Adam with optional
 global-norm clipping, and early stopping on mean validation AUC, then
 leaves the model at its best parameters and returns them as a
 checkpoint. Pre-training passes several rich datasets; fine-tuning
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autograd import NumericalError, Tape, bce_loss
-from .data import DatasetSpec, GlobalVocab, mix_batches, pack_segments
+from .data import DatasetSpec, GlobalVocab, mix_batches, pack_by_length
 from .importance import freeze_masks, modulate
 from .metrics import evaluate
 from .model import KTModel, ModelConfig, _parameter_specs
@@ -331,24 +332,29 @@ def fit(model, datasets, config, profile=None, stage="train"):
     for epoch in range(config.max_epochs):
         for d_pos, segs in mix_batches(train_lists, config.batch_size,
                                        seed=[config.seed, 0xBA, epoch]):
-            batch = pack_segments(segs, model.vocab,
-                                  datasets[d_pos].spec.dataset_index, model.dtype)
+            parts = pack_by_length(segs, model.vocab,
+                                   datasets[d_pos].spec.dataset_index, model.dtype)
+            scored = sum(int(part.pred_mask.sum()) for part in parts)
             model.zero_grad()
-            try:
-                with Tape() as tape:
-                    probs = model.forward_batch(batch, drop_p=config.dropout,
-                                                rng=drop_rng)
-                    loss = bce_loss(probs, batch.targets, batch.pred_mask)
-            except NumericalError as exc:
-                raise TrainingDivergedError(epoch, step, history) from exc
-            tape.backward(loss)
+            loss = 0.0
+            for part in parts:   # backward adds each part's gradients into .grad
+                try:
+                    with Tape() as tape:
+                        probs = model.forward_batch(part, drop_p=config.dropout,
+                                                    rng=drop_rng)
+                        part_loss = bce_loss(probs, part.targets, part.pred_mask,
+                                             total=scored)
+                except NumericalError as exc:
+                    raise TrainingDivergedError(epoch, step, history) from exc
+                tape.backward(part_loss)
+                loss += part_loss.item()
             grads = {n: t.grad for n, t in model.parameters().items()}
             if profile is not None:
                 grads = modulate(grads, profile, gated)
             if config.clip_norm:
                 grads, _ = clip_gradients(grads, config.clip_norm)
             adam.step(grads, frozen=masks)
-            history.append(loss.item())
+            history.append(loss)
             step += 1
         reports = evaluate(model, [(d.spec.name, d.spec.dataset_index, "valid",
                                     d.splits.valid) for d in datasets],

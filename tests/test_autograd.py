@@ -206,6 +206,21 @@ def test_bce_all_masked_is_error():
         bce_loss(Tensor([0.5]), np.array([1.0]), np.array([0.0]))
 
 
+def test_bce_total_divides_the_masked_sum():
+    probs, targets, mask = Tensor([0.9, 0.2]), np.array([1.0, 0.0]), np.array([1.0, 0.0])
+    assert bce_loss(probs, targets, mask, total=4).item() == pytest.approx(
+        -np.log(0.9) / 4, rel=1e-6)
+    # a part with nothing scored adds zero to its batch's loss
+    assert bce_loss(probs, targets, np.zeros(2), total=3).item() == 0.0
+
+
+@pytest.mark.parametrize("total", [0, -1.0, 0.5, float("nan")])
+def test_bce_total_must_be_positive_and_cover_the_mask(total):
+    # the mask sums to 1: a total of 0 or below it is rejected
+    with pytest.raises(ValueError, match="total"):
+        bce_loss(Tensor([0.5, 0.5]), np.array([1.0, 0.0]), np.array([1.0, 0.0]), total=total)
+
+
 # ---------------------------------------------------------------------------
 # backward mechanics
 

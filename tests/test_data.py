@@ -16,6 +16,7 @@ from kttrace.data import (
     generate_synthetic,
     ingest,
     mix_batches,
+    pack_by_length,
     pack_segments,
     preprocess,
     simulate_sequences,
@@ -367,6 +368,29 @@ def test_pack_segments_matches_the_per_interaction_oracle(seed):
                 assert a.tobytes() == b.tobytes(), f.name
             else:
                 assert a == b, f.name
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.integers(1, 200), min_size=1, max_size=40))
+def test_pack_by_length_places_each_segment_once_by_class(lengths):
+    v = vocab_two()
+    segs = [seq_of(f"s{i}", [(i, (0,), 1, 0)] * n) for i, n in enumerate(lengths)]
+    length_class = [max(n - 1, 1).bit_length() for n in lengths]
+    parts = pack_by_length(segs, v, dataset_index=0)
+    # segment i is the row whose questions are all i
+    placed = [int(i) for part in parts for i in part.questions[:, 0]]
+    assert placed == sorted(range(len(segs)), key=length_class.__getitem__)
+    classes = [{length_class[i] for i in part.questions[:, 0]} for part in parts]
+    assert all(len(c) == 1 for c in classes)
+    assert [c.pop() for c in classes] == sorted(set(length_class))
+    for part in parts:
+        assert part.lengths.tolist() == [lengths[i] for i in part.questions[:, 0]]
+        assert part.questions.size < 2 * part.lengths.sum()
+
+
+def test_pack_by_length_rejects_an_empty_batch():
+    with pytest.raises(ValueError, match="empty"):
+        pack_by_length([], vocab_two(), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kttrace.autograd import Tape, bce_loss, mul, Tensor
-from kttrace.data import PreparedDataset, DatasetSpec, Splits, pack_segments
+from kttrace.data import (
+    DatasetSpec,
+    PreparedDataset,
+    Splits,
+    SyntheticConfig,
+    generate_synthetic,
+    pack_by_length,
+    pack_segments,
+    preprocess,
+)
 from kttrace.importance import (
     ImportanceProfile,
     LayerImportance,
@@ -273,12 +283,23 @@ def _layer0_with(**fields):
 @example(dict(VALID_PROFILE, n_samples=10 ** 400))
 @example(_layer0_with(values=[float("nan")] * 4))
 @example(_layer0_with(values=[float("inf")] * 4))
+@example(_layer0_with(values=[1e300] * 4))
+@example(_layer0_with(values=[-1e300] * 4))
 def test_any_json_profile_is_accepted_or_value_error(doc):
-    # what a profile file can hold after json.load: typed errors only
-    try:
-        ImportanceProfile.from_json(doc).check_covers(PROFILE_MODEL.gate_widths())
-    except ValueError:
-        pass
+    # what a profile file can hold after json.load: typed errors only, and
+    # no warning on the way (a float32 overflow once warned, then failed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ImportanceProfile.from_json(doc).check_covers(PROFILE_MODEL.gate_widths())
+        except ValueError:
+            pass
+
+
+@pytest.mark.parametrize("value", [1e300, 3.5e38, -1.0, float("nan")])
+def test_profile_value_outside_float32_range_names_the_range(value):
+    with pytest.raises(ValueError, match="float32"):
+        ImportanceProfile.from_json(_layer0_with(values=[value] * 4))
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +317,28 @@ def test_importance_matches_hand_derivation():
         assert np.abs(got - vec).max() < 1e-10, lid
         # relative agreement as well, not only absolute
         assert np.abs(got - vec).max() / max(vec.max(), 1e-12) < 1e-10
+
+
+def test_importance_by_length_class_equals_one_pack_per_batch():
+    cfg = SyntheticConfig(n_students=120, n_questions=12, n_kcs=6, mean_seq_len=8, seed=3)
+    train = preprocess(generate_synthetic(cfg)[0], seed=4).train
+    model, vocab = build_tiny(seed=5, n_layers=2, max_seq_len=200)
+    assert len(train) > 64
+    assert len(pack_by_length(train[:64], vocab, 0)) > 1
+    got = compute_importance(model, prepared_tiny(train), batch_size=64, normalize=False)
+    gates = model.make_gates()
+    want = {lid: 0.0 for lid in gates}
+    for start in range(0, len(train), 64):
+        batch = pack_segments(train[start:start + 64], vocab, 0, dtype=np.float64)
+        with Tape() as tape:
+            loss = bce_loss(model.forward_batch(batch, gates=gates), batch.targets,
+                            batch.pred_mask)
+        tape.backward(loss)
+        for lid, gate in gates.items():
+            want[lid] = want[lid] + np.abs(gate.grad) / len(train)
+            gate.zero_grad()
+    for lid, vec in want.items():
+        assert np.abs(got.layers[lid].values - vec).max() <= 1e-12 * vec.max(), lid
 
 
 def test_normalized_importance_is_raw_over_max():

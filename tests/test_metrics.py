@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kttrace.data import pack_segments
+from kttrace.data import SyntheticConfig, generate_synthetic, pack_segments, preprocess
 from kttrace.metrics import (
     MetricsReport,
     accuracy,
@@ -110,6 +110,20 @@ def test_collect_predictions_matches_hand_enumeration():
     batch = pack_segments(seqs, vocab, 0, dtype=model.dtype)
     full = model.predict_batch(batch)
     np.testing.assert_array_equal(probs, np.concatenate([full[0, :2], full[1, :3]]))
+
+
+def test_collect_predictions_pools_the_pairs_of_one_pack():
+    cfg = SyntheticConfig(n_students=60, n_questions=12, n_kcs=6, mean_seq_len=8, seed=2)
+    segs = preprocess(generate_synthetic(cfg)[0], seed=3).train
+    model, vocab = build_tiny(seed=6, n_layers=2, max_seq_len=200)
+    batch = pack_segments(segs, vocab, 0, dtype=np.float64)
+    keep = batch.pred_mask[..., 0] == 1.0
+    want_p, want_y = model.predict_batch(batch)[keep], batch.targets[..., 0][keep]
+    probs, labels = collect_predictions(model, segs, dataset_index=0, batch_size=8)
+    # the same multiset of (label, probability) pairs, in another order
+    got, want = np.lexsort((probs, labels)), np.lexsort((want_p, want_y))
+    np.testing.assert_array_equal(labels[got], want_y[want])
+    assert np.abs(probs[got] - want_p[want]).max() <= 1e-12 * want_p.max()
 
 
 def test_constant_predictor_accuracy_is_majority_rate():

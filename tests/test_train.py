@@ -8,6 +8,7 @@ from kttrace.data import (
     SyntheticConfig,
     build_vocab,
     generate_synthetic,
+    pack_by_length,
     pack_segments,
     preprocess,
 )
@@ -251,6 +252,48 @@ def test_pretrain_mixes_multiple_datasets():
     ckpt = fit(model, rich, quiet_config(max_epochs=2))
     assert [s.name for s in ckpt.dataset_specs] == ["d0", "d1"]
     assert len(ckpt.metadata["val_auc_history"]) == 2
+
+
+def test_fit_step_gradients_equal_one_single_pack(monkeypatch):
+    # one batch holds the whole train split; fit runs it as length classes
+    prepared = make_prepared(n_students=40)
+    train = prepared.splits.train
+    model, vocab = model_for([prepared], seed=2)
+    model = KTModel.from_arrays(model.config, vocab, model.copy_arrays(), dtype=np.float64)
+    assert len(pack_by_length(train, vocab, 0)) > 1
+    batch = pack_segments(train, vocab, 0, dtype=np.float64)
+    with Tape() as tape:
+        loss = bce_loss(model.forward_batch(batch), batch.targets, batch.pred_mask)
+    want = {t.name: g.copy() for t, g in tape.backward(loss).items()}
+    model.zero_grad()
+
+    seen = []
+    original = Adam.step
+
+    def record(self, grads, frozen=None):
+        seen.append({n: g.copy() for n, g in grads.items()})
+        return original(self, grads, frozen)
+
+    monkeypatch.setattr(Adam, "step", record)
+    with pytest.warns(UserWarning, match="dropout"):
+        config = quiet_config(max_epochs=1, batch_size=len(train), dropout=0.0,
+                              clip_norm=None)
+    ckpt = fit(model, [prepared], config)
+    assert len(seen) == 1 and seen[0].keys() == want.keys()
+    for name, g in want.items():
+        assert np.abs(seen[0][name] - g).max() <= 1e-12 * np.abs(g).max(), name
+    assert ckpt.metadata["final_train_loss"] == pytest.approx(loss.item(), rel=1e-12)
+
+
+def test_fit_trains_with_a_length_one_segment():
+    prepared = make_prepared()
+    prepared.splits.train.insert(0, prepared.splits.train[0][:1])
+    model, _ = model_for([prepared])
+    before = model.copy_arrays()
+    ckpt = fit(model, [prepared], quiet_config(max_epochs=2, batch_size=64))
+    assert np.isfinite(ckpt.metadata["final_train_loss"])
+    assert all(np.isfinite(a).all() for a in ckpt.params.values())
+    assert ckpt.params["head.w1"].tobytes() != before["head.w1"].tobytes()
 
 
 def test_finetune_identity_property_all_ones(tmp_path):
