@@ -197,8 +197,8 @@ class ExperimentConfig:
                 return d
         raise UsageError(f"dataset {name!r} not in config.datasets")
 
-    def train_config(self, stage, seed):
-        return TrainConfig(seed=stage_seed(seed, stage), **self.train_section)
+    def train_config(self, stage):
+        return TrainConfig(seed=stage_seed(self.seed, stage), **self.train_section)
 
     def model_config(self, vocab):
         section = dict(self.model_section)
@@ -221,6 +221,12 @@ class ExperimentConfig:
         d = self.workdir.joinpath(*parts)
         d.mkdir(parents=True, exist_ok=True)
         return d
+
+    def output(self, given, *default):
+        """``--out`` as a config path, else ``workdir/<default>``; creates its folder."""
+        path = self.resolve(given) if given else self.workdir.joinpath(*default)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return path
 
 
 # ---------------------------------------------------------------------------
@@ -301,18 +307,12 @@ def cmd_synth(cfg, args):
         raise UsageError(f"no synthetic config for {name!r}; "
                          f"choose from {sorted(cfg.synthetic)}")
     section = dict(cfg.synthetic[name])
-    if args.seed is not None:
-        section["seed"] = stage_seed(args.seed, "synth", name)
-    else:
-        section.setdefault("seed", stage_seed(cfg.seed, "synth", name))
+    if args.seed is not None or "seed" not in section:   # --seed overrides the section's
+        section["seed"] = stage_seed(cfg.seed, "synth", name)
     synth_cfg = SyntheticConfig(**section)
     sequences, truth = generate_synthetic(synth_cfg)
 
-    if args.out:
-        out_prefix = cfg.resolve(args.out)
-        out_prefix.parent.mkdir(parents=True, exist_ok=True)
-    else:
-        out_prefix = cfg.ensure_dir("data") / name
+    out_prefix = cfg.output(args.out, "data", name)
     data_path = Path(f"{out_prefix}.txt")
     write_blocks(sequences, data_path)
     write_truth_sidecar(truth, sequences, f"{out_prefix}.truth.json")
@@ -330,14 +330,13 @@ def cmd_preprocess(cfg, args):
         entries = [cfg.dataset_entry(args.dataset)]
     if not entries:
         raise UsageError("config.datasets is empty")
-    seed = args.seed if args.seed is not None else cfg.seed
     summary = []
     for entry in entries:
         path = cfg.resolve(entry["path"])
         if not path.exists():
             raise UsageError(f"dataset file {path} does not exist")
         sequences = ingest(path)
-        splits = preprocess(sequences, seed=stage_seed(seed, "preprocess",
+        splits = preprocess(sequences, seed=stage_seed(cfg.seed, "preprocess",
                                                        entry["name"]))
         n_q, n_k = observed_id_sizes(sequences)
         meta = write_prepared(cfg, entry["name"], entry, splits, n_q, n_k)
@@ -354,14 +353,11 @@ def cmd_pretrain(cfg, args):
     vocab = build_vocab([d.spec for d in datasets],
                         {d.spec.name: (d.n_questions, d.n_kcs) for d in datasets})
     model_cfg = cfg.model_config(vocab)
-    seed = args.seed if args.seed is not None else cfg.seed
-    model = KTModel.build(model_cfg, vocab, seed=stage_seed(seed, "init"))
+    model = KTModel.build(model_cfg, vocab, seed=stage_seed(cfg.seed, "init"))
     logger.info("built model: %d parameters, %d datasets", model.n_params,
                 vocab.n_datasets)
-    ckpt = fit(model, datasets, cfg.train_config("pretrain", seed), stage="pretrain")
-    out = cfg.resolve(args.out) if args.out \
-        else cfg.ensure_dir("checkpoints") / "pretrained.lrkt"
-    out.parent.mkdir(parents=True, exist_ok=True)
+    ckpt = fit(model, datasets, cfg.train_config("pretrain"), stage="pretrain")
+    out = cfg.output(args.out, "checkpoints", "pretrained.lrkt")
     save_checkpoint(ckpt, out)
     return {"command": "pretrain", "checkpoint": str(out),
             "n_params": model.n_params,
@@ -373,13 +369,10 @@ def cmd_pretrain(cfg, args):
 def cmd_importance(cfg, args):
     ckpt = load_checkpoint(cfg.resolve(args.checkpoint))
     prepared = read_prepared(cfg, args.dataset, ("train",))
-    seed = args.seed if args.seed is not None else cfg.seed
-    model = adapt_if_needed(ckpt.build_model(), prepared, seed)
+    model = adapt_if_needed(ckpt.build_model(), prepared, cfg.seed)
     batch_size = cfg.train_section.get("batch_size", TrainConfig().batch_size)
     profile = compute_importance(model, prepared, batch_size=batch_size)
-    out = cfg.resolve(args.out) if args.out \
-        else cfg.ensure_dir("profiles") / f"{args.dataset}.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = cfg.output(args.out, "profiles", f"{args.dataset}.json")
     profile.save(out)
     return {"command": "importance", "dataset": args.dataset, "profile": str(out),
             "n_samples": profile.n_samples, "layers": len(profile.layers)}
@@ -388,16 +381,13 @@ def cmd_importance(cfg, args):
 def cmd_finetune(cfg, args):
     ckpt = load_checkpoint(cfg.resolve(args.checkpoint))
     prepared = read_prepared(cfg, args.dataset, ("train", "valid", "test"))
-    seed = args.seed if args.seed is not None else cfg.seed
-    model = adapt_if_needed(ckpt.build_model(), prepared, seed)
+    model = adapt_if_needed(ckpt.build_model(), prepared, cfg.seed)
     profile = None
     if args.profile:
         profile = ImportanceProfile.load(cfg.resolve(args.profile))
-    train_cfg = cfg.train_config("finetune", seed)
+    train_cfg = cfg.train_config("finetune")
     tuned = fit(model, [prepared], train_cfg, profile=profile, stage="finetune")
-    out = cfg.resolve(args.out) if args.out \
-        else cfg.ensure_dir("checkpoints") / f"finetuned-{args.dataset}.lrkt"
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = cfg.output(args.out, "checkpoints", f"finetuned-{args.dataset}.lrkt")
     save_checkpoint(tuned, out)
 
     reports = evaluate(model,
@@ -419,18 +409,15 @@ def cmd_eval(cfg, args):
         e["name"] for e in cfg.datasets if cfg.prepared_dir(e["name"]).exists()]
     if not names:
         raise UsageError("no prepared datasets to evaluate")
-    seed = args.seed if args.seed is not None else cfg.seed
     reports = []
     batch_size = cfg.train_section.get("batch_size", TrainConfig().batch_size)
     base = ckpt.build_model()
     for prepared in (read_prepared(cfg, name, ("valid", "test")) for name in names):
-        model = adapt_if_needed(base, prepared, seed)
+        model = adapt_if_needed(base, prepared, cfg.seed)
         splits = [(prepared.spec.name, prepared.spec.dataset_index, split, segs)
                   for split, segs in prepared.splits if segs]
         reports.extend(evaluate(model, splits, batch_size=batch_size))
-    out_prefix = cfg.resolve(args.out) if args.out \
-        else cfg.ensure_dir("reports") / "eval"
-    Path(out_prefix).parent.mkdir(parents=True, exist_ok=True)
+    out_prefix = cfg.output(args.out, "reports", "eval")
     write_reports_json(reports, f"{out_prefix}.json")
     write_reports_csv(reports, f"{out_prefix}.csv")
     return {"command": "eval", "reports": str(out_prefix) + ".json",
@@ -496,6 +483,8 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         cfg = ExperimentConfig.load(args.config)
+        if args.seed is not None:
+            cfg.seed = args.seed
         cfg.workdir.mkdir(parents=True, exist_ok=True)
         summary = _COMMANDS[args.command](cfg, args)
     except UsageError as exc:

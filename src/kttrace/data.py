@@ -429,24 +429,30 @@ def pack_by_length(segments, vocab, dataset_index, dtype=np.float32):
     return [pack_segments(classes[c], vocab, dataset_index, dtype) for c in sorted(classes)]
 
 
+def in_batches(segments, batch_size):
+    """Consecutive runs of ``batch_size`` segments; the last may be shorter."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    return [segments[i:i + batch_size] for i in range(0, len(segments), batch_size)]
+
+
 def mix_batches(train_lists, batch_size, seed):
     """Yield (dataset position, segment list) batches across datasets.
 
-    Every batch is drawn from a single dataset, chosen with probability
-    proportional to its remaining segments; one pass exhausts every
-    dataset exactly once. The order is a pure function of the seed.
+    Every batch is a run of ``in_batches`` over one dataset's shuffled
+    segments, the dataset chosen with probability proportional to its
+    remaining segments; one pass exhausts every dataset exactly once. The
+    order is a pure function of the seed.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     rng = np.random.default_rng(seed)
-    queues = [[segs[i] for i in rng.permutation(len(segs))] for segs in train_lists]
-    remaining = np.array([len(q) for q in queues], dtype=np.float64)
+    runs = [iter(in_batches([segs[i] for i in rng.permutation(len(segs))], batch_size))
+            for segs in train_lists]
+    remaining = np.array([len(segs) for segs in train_lists], dtype=np.float64)
     while remaining.sum() > 0:
-        d = int(rng.choice(len(queues), p=remaining / remaining.sum()))
-        start = len(queues[d]) - int(remaining[d])
-        take = int(min(batch_size, remaining[d]))
-        remaining[d] -= take
-        yield d, queues[d][start:start + take]
+        d = int(rng.choice(len(runs), p=remaining / remaining.sum()))
+        batch = next(runs[d])
+        remaining[d] -= len(batch)
+        yield d, batch
 
 
 # ---------------------------------------------------------------------------

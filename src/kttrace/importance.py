@@ -1,8 +1,9 @@
 """Per-layer unit importance from virtual gate gradients.
 
 An all-ones gate is multiplied into each sublayer's output; the average
-absolute gradient of the training loss with respect to the gate, taken
-over the target dataset, scores how much each output unit matters there.
+absolute gradient of the training loss (``KTModel.backward_batch``, as in
+training) with respect to the gate, taken over the target dataset, scores
+how much each output unit matters there.
 During fine-tuning the score vector is broadcast over each associated
 parameter and multiplied into its gradient, so unimportant units barely
 move while important ones learn freely.
@@ -16,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import Tape, bce_loss
-from .data import pack_by_length
+from .data import in_batches
 
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 
@@ -132,8 +132,8 @@ def constant_profile(model, value, dataset="synthetic"):
 def compute_importance(model, prepared, batch_size=1, normalize=True):
     """Average absolute gate gradients over a prepared dataset's train split.
 
-    The model runs in eval mode with all-ones gates attached; per batch the
-    masked BCE loss is backpropagated and |d loss / d gate| accumulated.
+    The model runs in eval mode with all-ones gates attached; per
+    ``in_batches`` run, ``backward_batch`` yields |d loss / d gate|.
     The accumulated sum is divided by the number of training sequences
     (each batch of one sequence contributes exactly one per-sample term;
     larger batches trade fidelity for speed). Parameters and gates are
@@ -143,20 +143,11 @@ def compute_importance(model, prepared, batch_size=1, normalize=True):
     segments = prepared.splits.train
     if not segments:
         raise ValueError(f"dataset {prepared.spec.name!r} has no training sequences")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     gates = model.make_gates()
     acc = {lid: np.zeros(g.shape[-1], dtype=model.dtype) for lid, g in gates.items()}
     n = len(segments)
-    for start in range(0, n, batch_size):
-        parts = pack_by_length(segments[start:start + batch_size], model.vocab,
-                               prepared.spec.dataset_index, dtype=model.dtype)
-        scored = sum(int(part.pred_mask.sum()) for part in parts)
-        for part in parts:   # the gate gradients of a batch's parts add up
-            with Tape() as tape:
-                probs = model.forward_batch(part, gates=gates)
-                loss = bce_loss(probs, part.targets, part.pred_mask, total=scored)
-            tape.backward(loss)
+    for batch in in_batches(segments, batch_size):
+        model.backward_batch(batch, prepared.spec.dataset_index, gates=gates)
         for lid, gate in gates.items():
             acc[lid] += np.abs(gate.grad)
             gate.zero_grad()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import pack_by_length
+from .data import in_batches, pack_by_length
 
 
 @dataclass
@@ -99,11 +99,9 @@ def collect_predictions(model, segments, dataset_index, batch_size=64):
     """
     if not segments:
         raise ValueError("cannot evaluate an empty split")
-    ordered = sorted(segments, key=len)
     ps, ys = [], []
-    for start in range(0, len(ordered), batch_size):
-        for batch in pack_by_length(ordered[start:start + batch_size], model.vocab,
-                                    dataset_index, dtype=model.dtype):
+    for run in in_batches(sorted(segments, key=len), batch_size):
+        for batch in pack_by_length(run, model.vocab, dataset_index, dtype=model.dtype):
             probs = model.predict_batch(batch)
             keep = batch.pred_mask[..., 0] == 1.0
             ps.append(probs[keep])

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
+from .data import pack_by_length
 
 INIT_STD = 0.02
 
@@ -286,6 +287,25 @@ class KTModel:
         hid = ag.sigmoid(self._linear(s, "head.w1", "head.b1"))
         logit = self._linear(hid, "head.w2", "head.b2")
         return ag.sigmoid(logit)
+
+    def backward_batch(self, segments, dataset_index, gates=None, drop_p=0.0, rng=None):
+        """Backpropagate one batch's masked BCE; return its loss.
+
+        Each ``pack_by_length`` class runs on its own tape with its loss
+        divided by the whole batch's scored steps, so the classes' losses
+        and gradients add up to the batch's. Gradients are added into the
+        ``.grad`` of the parameters and ``gates``; nothing is zeroed first.
+        """
+        parts = pack_by_length(segments, self.vocab, dataset_index, self.dtype)
+        scored = sum(int(part.pred_mask.sum()) for part in parts)
+        loss = 0.0
+        for part in parts:
+            with ag.Tape() as tape:
+                probs = self.forward_batch(part, gates=gates, drop_p=drop_p, rng=rng)
+                part_loss = ag.bce_loss(probs, part.targets, part.pred_mask, total=scored)
+            tape.backward(part_loss)
+            loss += part_loss.item()
+        return loss
 
     def predict_batch(self, batch):
         """Eval-mode forward outside any tape; returns a plain [B, T] array."""

@@ -1,9 +1,9 @@
 """Training: one loop for pre-training and fine-tuning, and persistence.
 
 ``fit`` is the only training entry point. It runs mixed single-dataset
-batches, each as power-of-two length classes whose gradients add up to
-the batch's, masked BCE on next-response predictions, Adam with optional
-global-norm clipping, and early stopping on mean validation AUC, then
+batches (``mix_batches``), each through ``KTModel.backward_batch`` (masked
+BCE on next-response predictions, one tape per length class), Adam with
+optional global-norm clipping, and early stopping on mean validation AUC, then
 leaves the model at its best parameters and returns them as a
 checkpoint. Pre-training passes several rich datasets; fine-tuning
 passes one target the model's vocabulary already covers (adapt it
@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import NumericalError, Tape, bce_loss
-from .data import DatasetSpec, GlobalVocab, mix_batches, pack_by_length
+from .autograd import NumericalError
+from .data import DatasetSpec, GlobalVocab, mix_batches
 from .importance import freeze_masks, modulate
 from .metrics import evaluate
 from .model import KTModel, ModelConfig, _parameter_specs
@@ -332,22 +332,12 @@ def fit(model, datasets, config, profile=None, stage="train"):
     for epoch in range(config.max_epochs):
         for d_pos, segs in mix_batches(train_lists, config.batch_size,
                                        seed=[config.seed, 0xBA, epoch]):
-            parts = pack_by_length(segs, model.vocab,
-                                   datasets[d_pos].spec.dataset_index, model.dtype)
-            scored = sum(int(part.pred_mask.sum()) for part in parts)
             model.zero_grad()
-            loss = 0.0
-            for part in parts:   # backward adds each part's gradients into .grad
-                try:
-                    with Tape() as tape:
-                        probs = model.forward_batch(part, drop_p=config.dropout,
-                                                    rng=drop_rng)
-                        part_loss = bce_loss(probs, part.targets, part.pred_mask,
-                                             total=scored)
-                except NumericalError as exc:
-                    raise TrainingDivergedError(epoch, step, history) from exc
-                tape.backward(part_loss)
-                loss += part_loss.item()
+            try:
+                loss = model.backward_batch(segs, datasets[d_pos].spec.dataset_index,
+                                            drop_p=config.dropout, rng=drop_rng)
+            except NumericalError as exc:
+                raise TrainingDivergedError(epoch, step, history) from exc
             grads = {n: t.grad for n, t in model.parameters().items()}
             if profile is not None:
                 grads = modulate(grads, profile, gated)

@@ -1,9 +1,12 @@
 """Desk-scale transfer experiment shared by the acceptance suite.
 
-Three rich synthetic datasets pre-train a small model; a 100-student
-dataset is then learned three ways per seed: fine-tuned from the
-pre-trained checkpoint, fine-tuned with an importance profile, and
-trained from scratch. Returns per-seed test AUCs for each arm.
+Three rich synthetic datasets pre-train a small model once per draw k
+(model init and training seed k); a 100-student dataset is then learned
+three ways per draw: fine-tuned from draw k's checkpoint, fine-tuned with
+an importance profile (both at fine-tune seed k - 1), and trained from
+scratch at seed k - 1. Fine-tunes of one checkpoint land within 0.001 of
+each other, so the arms are averaged over pre-training draws, not over
+fine-tune seeds. Returns per-draw test AUCs and best epochs for each arm.
 """
 
 import time
@@ -50,12 +53,17 @@ class TransferResult:
     scratch: list = field(default_factory=list)
     finetuned: list = field(default_factory=list)
     finetuned_importance: list = field(default_factory=list)
+    best_epochs: dict = field(default_factory=dict)   # arm -> best epoch per draw
 
     def mean(self, arm):
         return float(np.mean(getattr(self, arm)))
 
+    def record(self, arm, ckpt, prepared):
+        getattr(self, arm).append(test_auc_of(ckpt, prepared))
+        self.best_epochs.setdefault(arm, []).append(ckpt.metadata["best_epoch"])
 
-def run_transfer_experiment(seeds=(0, 1, 2), n_rich_students=2000,
+
+def run_transfer_experiment(draws=(1, 2, 3), n_rich_students=2000,
                             n_low_students=100, pretrain_epochs=6,
                             finetune_epochs=40, d_model=64, n_layers=4):
     t0 = time.time()
@@ -68,40 +76,43 @@ def run_transfer_experiment(seeds=(0, 1, 2), n_rich_students=2000,
                         {d.spec.name: (d.n_questions, d.n_kcs) for d in rich})
     model_cfg = ModelConfig(n_layers=n_layers, d_model=d_model, n_head=4,
                             d_ff=2 * d_model, dropout=0.1).sized_for(vocab)
-    model = KTModel.build(model_cfg, vocab, seed=1)
-    pre_cfg = TrainConfig(learning_rate=1e-3, dropout=0.1,
-                          max_epochs=pretrain_epochs, patience=pretrain_epochs,
-                          batch_size=128, seed=1)
-    pre_ckpt = fit(model, rich, pre_cfg, stage="pretrain")
-    result = TransferResult(pretrain_seconds=time.time() - t0)
-
-    adapted = zero_shot_adapt(pre_ckpt.build_model(), "low", low.n_questions,
-                              low.n_kcs, seed=2)
-    adapted_ckpt = Checkpoint.from_model(adapted, [d.spec for d in rich] + [low.spec],
-                                         pre_ckpt.metadata)
-    profile = compute_importance(adapted, low, batch_size=16)
-
     low_only_vocab = build_vocab([DatasetSpec("low", 0)],
                                  {"low": (low.n_questions, low.n_kcs)})
     low_only = PreparedDataset(spec=DatasetSpec("low", 0), splits=low.splits,
                                n_questions=low.n_questions, n_kcs=low.n_kcs)
+    result = TransferResult()
 
-    for seed in seeds:
+    for draw in draws:
+        started = time.time()
+        pre_cfg = TrainConfig(learning_rate=1e-3, dropout=0.1,
+                              max_epochs=pretrain_epochs, patience=pretrain_epochs,
+                              batch_size=128, seed=draw)
+        pre_ckpt = fit(KTModel.build(model_cfg, vocab, seed=draw), rich, pre_cfg,
+                       stage="pretrain")
+        result.pretrain_seconds += time.time() - started
+        result.best_epochs.setdefault("pretrain", []).append(pre_ckpt.metadata["best_epoch"])
+
+        adapted = zero_shot_adapt(pre_ckpt.build_model(), "low", low.n_questions,
+                                  low.n_kcs, seed=2)
+        adapted_ckpt = Checkpoint.from_model(adapted, [d.spec for d in rich] + [low.spec],
+                                             pre_ckpt.metadata)
+        profile = compute_importance(adapted, low, batch_size=16)
+
+        seed = draw - 1
         ft_cfg = TrainConfig(learning_rate=1e-3, dropout=0.1,
                              max_epochs=finetune_epochs, patience=5,
                              batch_size=128, seed=seed)
-        plain = fit(adapted_ckpt.build_model(), [low], ft_cfg, stage="finetune")
-        result.finetuned.append(test_auc_of(plain, low))
-
-        impt = fit(adapted_ckpt.build_model(), [low], ft_cfg, profile=profile,
-                   stage="finetune")
-        result.finetuned_importance.append(test_auc_of(impt, low))
+        result.record("finetuned", fit(adapted_ckpt.build_model(), [low], ft_cfg,
+                                       stage="finetune"), low)
+        result.record("finetuned_importance",
+                      fit(adapted_ckpt.build_model(), [low], ft_cfg, profile=profile,
+                          stage="finetune"), low)
 
         scratch_cfg = ModelConfig(n_layers=n_layers, d_model=d_model, n_head=4,
                                   d_ff=2 * d_model, dropout=0.1).sized_for(low_only_vocab)
         scratch_model = KTModel.build(scratch_cfg, low_only_vocab, seed=seed + 50)
-        scratch = fit(scratch_model, [low_only], ft_cfg, stage="scratch")
-        result.scratch.append(test_auc_of(scratch, low_only))
+        result.record("scratch", fit(scratch_model, [low_only], ft_cfg, stage="scratch"),
+                      low_only)
 
     result.total_seconds = time.time() - t0
     return result

@@ -230,15 +230,23 @@ def test_criterion_08_preprocessing_protocol():
 def transfer_result():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return experiment.run_transfer_experiment(seeds=(0, 1, 2))
+        return experiment.run_transfer_experiment(draws=(1, 2, 3))
+
+
+def _arm_line(r, label, arm):
+    aucs = [round(x, 4) for x in getattr(r, arm)]
+    return (f"  {label:<10} {aucs} mean {r.mean(arm):.4f}, "
+            f"best epochs {r.best_epochs[arm]}")
 
 
 def test_criterion_09_pretraining_transfer_gap(transfer_result):
     with criterion(9, "pre-training beats training from scratch by >= 0.005 AUC"):
         r = transfer_result
         gap = r.mean("finetuned") - r.mean("scratch")
-        print(f"\n  scratch   {[round(x, 4) for x in r.scratch]} mean {r.mean('scratch'):.4f}")
-        print(f"  finetuned {[round(x, 4) for x in r.finetuned]} mean {r.mean('finetuned'):.4f}")
+        print(f"\n  pre-training best epochs {r.best_epochs['pretrain']}, "
+              f"{r.pretrain_seconds:.0f}s")
+        print(_arm_line(r, "scratch", "scratch"))
+        print(_arm_line(r, "finetuned", "finetuned"))
         print(f"  gap {gap:+.4f}, runtime {r.total_seconds:.0f}s")
         assert gap >= 0.005
         assert r.total_seconds <= 900.0
@@ -248,8 +256,9 @@ def test_criterion_10_importance_benefit(transfer_result):
     with criterion(10, "importance-modulated fine-tuning within tolerance of plain"):
         r = transfer_result
         gap = r.mean("finetuned_importance") - r.mean("finetuned")
-        print(f"\n  plain      {[round(x, 4) for x in r.finetuned]}")
-        print(f"  importance {[round(x, 4) for x in r.finetuned_importance]}")
+        print()
+        print(_arm_line(r, "plain", "finetuned"))
+        print(_arm_line(r, "importance", "finetuned_importance"))
         print(f"  gap {gap:+.4f} (positive expected, >= -0.002 required)")
         if gap < 0:
             print("  NOTE: negative gap within tolerance; logged, not failed")

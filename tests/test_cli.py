@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import os
 import shutil
 import struct
@@ -21,6 +22,7 @@ from kttrace.train import (
     CheckpointFormatError,
     load_checkpoint,
     save_checkpoint,
+    stage_seed,
 )
 
 
@@ -158,6 +160,20 @@ def test_bad_train_value_is_data_error_before_training(pipeline, capsys, tmp_pat
     code, _ = run_cli(capsys, "pretrain", "--config", str(path), "--out", str(out))
     assert code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("batch_size", [0, -3])
+@pytest.mark.parametrize("command", ["eval", "importance"])
+def test_bad_batch_size_is_data_error_naming_it(pipeline, capsys, caplog, tmp_path,
+                                                command, batch_size):
+    root, ckpt, _ = pipeline
+    path = write_config(root, name="bad-batch.json", datasets=PIPELINE_DATASETS,
+                        train={"batch_size": batch_size})
+    with caplog.at_level(logging.ERROR, logger="kttrace"):
+        code, _ = run_cli(capsys, command, "--config", str(path), "--checkpoint",
+                          str(ckpt), "--dataset", "low", "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert f"batch_size must be >= 1, got {batch_size}" in caplog.text
 
 
 def test_eval_of_all_datasets_matches_one_call_per_dataset(pipeline, capsys):
@@ -366,6 +382,35 @@ def test_synth_writes_blocks_and_sidecar(tmp_path, capsys):
     code, _ = run_cli(capsys, "synth", "--config", str(path),
                       "--dataset", "low", "--out", "out/lowdata")
     assert code == 0 and data.read_bytes() == first
+
+
+def test_seed_flag_acts_as_the_config_seed(tmp_path, capsys):
+    datasets = PIPELINE_DATASETS[:1]
+    flagged = str(write_config(tmp_path, name="flagged.json", datasets=datasets))
+    seeded = str(write_config(tmp_path, name="seeded.json", datasets=datasets, seed=5))
+    run = tmp_path / "run"
+
+    def outputs(cfg, *flag):
+        for argv in (["synth", "--dataset", "rich0"], ["preprocess"], ["pretrain"]):
+            code, _ = run_cli(capsys, *argv, "--config", cfg, *flag)
+            assert code == 0, argv
+        files = {p.relative_to(run): p.read_bytes()
+                 for p in sorted(run.rglob("*")) if p.is_file()}
+        shutil.rmtree(run)   # the checkpoint header names the prepared path
+        return files
+
+    files = outputs(flagged, "--seed", "5")
+    assert {p.name for p in files} >= {"rich0.txt", "train.txt", "pretrained.lrkt"}
+    assert files == outputs(seeded)
+
+
+def test_synth_seed_flag_overrides_the_section_seed(tmp_path, capsys):
+    synthetic = json.loads(write_config(tmp_path).read_text())["synthetic"]
+    synthetic["low"]["seed"] = 3
+    cfg = str(write_config(tmp_path, synthetic=synthetic))
+    for flag, want in (([], 3), (["--seed", "5"], stage_seed(5, "synth", "low"))):
+        code, summary = run_cli(capsys, "synth", "--config", cfg, "--dataset", "low", *flag)
+        assert code == 0 and summary["seed"] == want
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from kttrace.data import (
     build_vocab,
     clean_sequences,
     generate_synthetic,
+    in_batches,
     ingest,
     mix_batches,
     pack_by_length,
@@ -326,6 +327,19 @@ def test_mix_batches_deterministic():
 
     assert trace(9) == trace(9)
     assert trace(9) != trace(10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(), max_size=40), st.integers(-3, 45))
+def test_in_batches_cuts_consecutive_runs(items, batch_size):
+    if batch_size < 1:
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            in_batches(items, batch_size)
+        return
+    runs = in_batches(items, batch_size)
+    assert [x for run in runs for x in run] == items
+    assert all(len(run) == batch_size for run in runs[:-1])
+    assert all(1 <= len(run) <= batch_size for run in runs)
 
 
 def test_mix_batches_rejects_bad_batch_size():

@@ -8,6 +8,7 @@ from kttrace.autograd import Tape, Tensor, bce_loss, mean_over_axis, mul
 from kttrace.data import (
     DatasetSpec,
     build_vocab,
+    pack_by_length,
     pack_segments,
 )
 from kttrace.model import (
@@ -228,6 +229,49 @@ def test_ids_in_padded_cells_never_change_a_real_step_prediction(data, dtype):
         cells = pad if arr.ndim == 2 else pad[..., None]
         setattr(batch, name, np.where(cells, drawn, arr))
     np.testing.assert_array_equal(model.predict_batch(batch)[~pad], base[~pad])
+
+
+def classed_batch():
+    """Segments of lengths 1-16 in mixed order: four length classes."""
+    rng = np.random.default_rng(4)
+    return [seq_of(f"s{i}", [(int(rng.integers(12)), (int(rng.integers(6)),),
+                              int(rng.integers(2)), 60 * t) for t in range(n)])
+            for i, n in enumerate((9, 2, 5, 1, 16, 3, 7, 4, 12))]
+
+
+def test_backward_batch_equals_one_single_pack_with_gates():
+    model, vocab = build_tiny(n_layers=2, seed=6)
+    segs = classed_batch()
+    assert len(pack_by_length(segs, vocab, 1)) >= 3
+    batch = pack_segments(segs, vocab, 1, dtype=np.float64)
+    gates = model.make_gates()
+    with Tape() as tape:
+        loss = bce_loss(model.forward_batch(batch, gates=gates), batch.targets,
+                        batch.pred_mask)
+    tape.backward(loss)
+    leaves = {**model.parameters(), **{t.name: t for t in gates.values()}}
+    want = {n: t.grad.copy() for n, t in leaves.items()}
+    model.zero_grad()
+    gates = model.make_gates()
+
+    got_loss = model.backward_batch(segs, 1, gates=gates)
+    assert got_loss == pytest.approx(loss.item(), rel=1e-12)
+    leaves = {**model.parameters(), **{t.name: t for t in gates.values()}}
+    assert leaves.keys() == want.keys()
+    for name, g in want.items():
+        assert np.abs(leaves[name].grad - g).max() <= 1e-12 * np.abs(g).max(), name
+
+
+def test_backward_batch_adds_into_grad():
+    model, _ = build_tiny(n_layers=2, seed=6)
+    segs = classed_batch()
+    gates = model.make_gates()
+    first_loss = model.backward_batch(segs, 0, gates=gates)
+    leaves = [*model.parameters().values(), *gates.values()]
+    first = [t.grad.copy() for t in leaves]
+    assert model.backward_batch(segs, 0, gates=gates) == first_loss
+    for t, g in zip(leaves, first):
+        assert np.abs(t.grad - 2 * g).max() <= 1e-12 * np.abs(g).max(), t.name
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
