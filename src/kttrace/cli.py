@@ -77,8 +77,9 @@ class _Parser(argparse.ArgumentParser):
 _INT, _NUMBER = int, (int, float)
 _TRAIN_KEYS = {"learning_rate": _NUMBER, "dropout": _NUMBER, "max_epochs": _INT,
                "patience": _INT, "batch_size": _INT, "clip_norm": (*_NUMBER, type(None))}
-_MODEL_KEYS = {"preset": str, "n_layers": _INT, "d_model": _INT, "n_head": _INT,
-               "d_ff": _INT, "dropout": _NUMBER, "max_seq_len": _INT}
+_ARCH_KEYS = ("n_layers", "d_model", "n_head", "d_ff")   # what a preset fixes
+_MODEL_KEYS = {"preset": str, **dict.fromkeys(_ARCH_KEYS, _INT), "dropout": _NUMBER,
+               "max_seq_len": _INT}
 _DATASET_KEYS = {"name", "dataset_index", "path", "role"}
 _SYNTH_KEYS = {"n_students": _INT, "n_questions": _INT, "n_kcs": _INT,
                "ability_spread": _NUMBER, "difficulty_spread": _NUMBER,
@@ -132,9 +133,14 @@ class ExperimentConfig:
         if not isinstance(self.model_section, dict):
             raise UsageError("config.model must be an object")
         _check_section(self.model_section, _MODEL_KEYS, "config.model")
-        if "preset" in self.model_section and \
-                self.model_section["preset"] not in PRESETS:
-            raise UsageError(f"config.model.preset must be one of {sorted(PRESETS)}")
+        preset = self.model_section.get("preset")
+        if preset is not None:
+            if preset not in PRESETS:
+                raise UsageError(f"config.model.preset must be one of {sorted(PRESETS)}")
+            fixed = [key for key in _ARCH_KEYS if key in self.model_section]
+            if fixed:
+                raise UsageError(f"config.model sets {', '.join(fixed)}, which preset "
+                                 f"{preset!r} fixes; drop the key or the preset")
 
         train = obj.get("train", {})
         if not isinstance(train, dict):
@@ -206,7 +212,7 @@ class ExperimentConfig:
             preset = section.pop("preset")
             cfg = ModelConfig.from_preset(preset, **section)
         else:
-            for key in ("n_layers", "d_model", "n_head", "d_ff"):
+            for key in _ARCH_KEYS:
                 if key not in section:
                     raise UsageError(f"config.model needs {key!r} (or a preset)")
             cfg = ModelConfig(**section)
@@ -490,8 +496,8 @@ def main(argv=None):
     except UsageError as exc:
         logger.error("usage error: %s", exc)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        logger.error("missing input: %s", exc)
+    except OSError as exc:
+        logger.error("cannot read or write a file: %s", exc)
         return EXIT_USAGE
     except (NumericalError, TrainingDivergedError) as exc:
         logger.error("numerical failure: %s", exc)

@@ -371,8 +371,7 @@ class PackedBatch:
     dataset_index: int
     questions: np.ndarray      # [B, T] global ids
     kcs: np.ndarray            # [B, T, K] global ids
-    kc_mask: np.ndarray        # [B, T, K] 1.0 on real KCs
-    kc_scale: np.ndarray       # [B, T, 1] K / |KC set|
+    kc_weight: np.ndarray      # [B, T, K] 1/|KC set| on real KCs, else 0
     responses: np.ndarray      # [B, T]
     targets: np.ndarray        # [B, T, 1] response at t+1
     pred_mask: np.ndarray      # [B, T, 1]
@@ -403,13 +402,12 @@ def pack_segments(segments, vocab, dataset_index, dtype=np.float32):
     local_c = local_c[:, :, :K]
     questions = vocab.question_to_global(dataset_index, local_q)
     kcs = vocab.kc_to_global(dataset_index, local_c)
-    kc_mask = (local_c >= 0).astype(dtype)
-    kc_scale = (K / np.maximum(n_kcs, 1) * (n_kcs > 0)).astype(dtype)[..., None]
+    kc_weight = ((local_c >= 0) / np.maximum(n_kcs, 1)[..., None]).astype(dtype)
     targets = np.zeros((B, T, 1), dtype=dtype)
     targets[:, :-1, 0] = responses[:, 1:]
     pred_mask = (np.arange(T) < lengths[:, None] - 1).astype(dtype)[..., None]
-    return PackedBatch(dataset_index, questions, kcs, kc_mask, kc_scale, responses,
-                       targets, pred_mask, lengths)
+    return PackedBatch(dataset_index, questions, kcs, kc_weight, responses, targets,
+                       pred_mask, lengths)
 
 
 def pack_by_length(segments, vocab, dataset_index, dtype=np.float32):
@@ -490,10 +488,10 @@ class SyntheticTruth:
     theta: np.ndarray          # per-student ability
     difficulty: np.ndarray     # per-question difficulty
     question_kcs: list         # KC tuple per question
-    probabilities: list = field(default_factory=list)  # per-sequence p lists
+    probabilities: list = field(default_factory=list)  # float64 array per sequence
 
     def mean_probability(self):
-        return float(np.mean([p for ps in self.probabilities for p in ps]))
+        return float(np.mean(np.concatenate(self.probabilities)))
 
 
 def simulate_sequences(theta, difficulty, question_kcs, n_kcs, learning_rate,
@@ -502,7 +500,7 @@ def simulate_sequences(theta, difficulty, question_kcs, n_kcs, learning_rate,
 
     Response probability at step j is sigmoid(theta - b + lr * e_j) where
     e_j is the mean number of earlier attempts on the question's KCs
-    within the same sequence. Returns (sequences, per-sequence p lists).
+    within the same sequence. Returns (sequences, per-sequence p arrays).
     """
     n_questions = len(difficulty)
     width = max(map(len, question_kcs))
@@ -511,20 +509,15 @@ def simulate_sequences(theta, difficulty, question_kcs, n_kcs, learning_rate,
     for s in range(len(theta)):
         length = max(MIN_SEQ_LEN, int(rng.geometric(1.0 / mean_seq_len)))
         qs = rng.integers(0, n_questions, size=length)
-        exposure = np.zeros(n_kcs)
-        responses, probs = [], []
-        for j in range(length):
-            q = int(qs[j])
-            kcs = question_kcs[q]
-            seen = float(np.mean([exposure[c] for c in kcs]))
-            logit = theta[s] - difficulty[q] + learning_rate * seen
-            p = 1.0 / (1.0 + np.exp(-logit))
-            responses.append(int(rng.random() < p))
-            probs.append(p)
-            for c in kcs:
-                exposure[c] += 1
-        sequences.append(StudentSequence(f"s{s}", qs, kc_table[qs],
-                                         np.array(responses, dtype=np.int64),
+        kcs = kc_table[qs]
+        # row j counts step j's KCs; exposure[j] counts them over steps before j
+        member = (kcs[..., None] == np.arange(n_kcs)).sum(axis=1)
+        exposure = np.cumsum(member, axis=0) - member
+        seen = (exposure * member).sum(axis=1) / member.sum(axis=1)
+        logit = theta[s] - difficulty[qs] + learning_rate * seen
+        probs = 1.0 / (1.0 + np.exp(-logit))
+        responses = (rng.random(length) < probs).astype(np.int64)
+        sequences.append(StudentSequence(f"s{s}", qs, kcs, responses,
                                          60000 * np.arange(length, dtype=np.int64)))
         all_probs.append(probs)
     return sequences, all_probs

@@ -233,9 +233,7 @@ class KTModel:
         type_q = ag.embedding_lookup(P["emb.type"], np.array([[0]]))
         type_c = ag.embedding_lookup(P["emb.type"], np.array([[1]]))
         shared = ag.add(ag.embedding_lookup(P["emb.question"], batch.questions), type_q)
-        kc = ag.embedding_lookup(P["emb.kc"], batch.kcs)
-        kc = ag.mul(kc, Tensor(batch.kc_mask[..., None]))
-        kc = ag.mul(ag.mean_over_axis(kc, 2), Tensor(batch.kc_scale))
+        kc = ag.embedding_lookup(P["emb.kc"], batch.kcs, batch.kc_weight)
         shared = ag.add(ag.add(shared, kc), type_c)
         enc = ag.add(shared, ag.embedding_lookup(P["emb.response"], batch.responses))
         enc = ag.add(enc, ag.embedding_lookup(

@@ -83,8 +83,10 @@ class TrainConfig:
     clip_norm: float | None = 5.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.max_epochs <= 0 or self.batch_size < 1:
-            raise ValueError("learning_rate, max_epochs and batch_size must be positive")
+        if not 0 < self.learning_rate < np.inf:   # json reads NaN and Infinity
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if self.max_epochs <= 0 or self.batch_size < 1:
+            raise ValueError("max_epochs and batch_size must be positive")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.clip_norm is not None and not self.clip_norm > 0:

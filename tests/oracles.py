@@ -46,7 +46,7 @@ def _step_vec(P, batch, D, b, t):
     vec = list(P["emb.question"][batch.questions[b, t]])
     for d in range(D):
         vec[d] += P["emb.type"][0][d] + P["emb.type"][1][d]
-    real = [k for k in range(batch.kcs.shape[2]) if batch.kc_mask[b, t, k] > 0]
+    real = [k for k in range(batch.kcs.shape[2]) if batch.kc_weight[b, t, k] > 0]
     if real:
         for d in range(D):
             vec[d] += sum(P["emb.kc"][batch.kcs[b, t, k]][d] for k in real) / len(real)
@@ -64,7 +64,7 @@ def _query_vec(P, batch, D, b, t):
     vec = list(P["emb.question"][batch.questions[b, t + 1]])
     for d in range(D):
         vec[d] += P["emb.type"][0][d] + P["emb.type"][1][d]
-    real = [k for k in range(batch.kcs.shape[2]) if batch.kc_mask[b, t + 1, k] > 0]
+    real = [k for k in range(batch.kcs.shape[2]) if batch.kc_weight[b, t + 1, k] > 0]
     if real:
         for d in range(D):
             vec[d] += sum(P["emb.kc"][batch.kcs[b, t + 1, k]][d] for k in real) / len(real)
@@ -243,8 +243,7 @@ def oracle_pack(segments, vocab, dataset_index, dtype=np.float32):
 
     questions = np.full((B, T), pad_q, dtype=np.int64)
     kcs = np.full((B, T, K), pad_c, dtype=np.int64)
-    kc_mask = np.zeros((B, T, K), dtype=dtype)
-    kc_scale = np.zeros((B, T, 1), dtype=dtype)
+    kc_weight = np.zeros((B, T, K), dtype=dtype)
     responses = np.zeros((B, T), dtype=np.int64)
     lengths = np.zeros(B, dtype=np.int64)
     for b, seq in enumerate(segments):
@@ -253,8 +252,7 @@ def oracle_pack(segments, vocab, dataset_index, dtype=np.float32):
             questions[b, t] = to_global(int(seq.questions[t]), vocab.q_offsets, nq, pad_q)
             for k, c in enumerate(kc_sets[b][t]):
                 kcs[b, t, k] = to_global(c, vocab.kc_offsets, nk, pad_c)
-                kc_mask[b, t, k] = 1.0
-            kc_scale[b, t, 0] = K / len(kc_sets[b][t])
+                kc_weight[b, t, k] = 1.0 / len(kc_sets[b][t])
             responses[b, t] = int(seq.responses[t])
 
     targets = np.zeros((B, T, 1), dtype=dtype)
@@ -262,5 +260,25 @@ def oracle_pack(segments, vocab, dataset_index, dtype=np.float32):
     pred_mask = np.zeros((B, T, 1), dtype=dtype)
     for b in range(B):
         pred_mask[b, :max(lengths[b] - 1, 0), 0] = 1.0
-    return PackedBatch(dataset_index, questions, kcs, kc_mask, kc_scale, responses,
-                       targets, pred_mask, lengths)
+    return PackedBatch(dataset_index, questions, kcs, kc_weight, responses, targets,
+                       pred_mask, lengths)
+
+
+def oracle_simulate(theta, difficulty, question_kcs, n_kcs, learning_rate, mean_seq_len, rng):
+    """``simulate_sequences`` one step at a time: (questions, responses,
+    probabilities) per student, drawing from ``rng`` in the same order."""
+    out = []
+    for s in range(len(theta)):
+        length = max(3, int(rng.geometric(1.0 / mean_seq_len)))
+        qs = rng.integers(0, len(difficulty), size=length)
+        exposure = [0] * n_kcs
+        responses, probs = [], []
+        for q in qs.tolist():
+            seen = sum(exposure[c] for c in question_kcs[q]) / len(question_kcs[q])
+            p = 1.0 / (1.0 + np.exp(-(theta[s] - difficulty[q] + learning_rate * seen)))
+            responses.append(int(rng.random() < p))
+            probs.append(float(p))
+            for c in question_kcs[q]:
+                exposure[c] += 1
+        out.append((qs.tolist(), responses, probs))
+    return out

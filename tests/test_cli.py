@@ -12,10 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kttrace
-from kttrace.cli import main
-from kttrace.data import DatasetSpec, build_vocab
+from kttrace.cli import ExperimentConfig, UsageError, main
+from kttrace.data import DatasetSpec, GlobalVocab, build_vocab
 from kttrace.model import KTModel, ModelConfig
 from kttrace.train import (
     Checkpoint,
@@ -93,6 +95,70 @@ def test_bad_preset_rejected(tmp_path, capsys):
     assert code == 1
 
 
+def test_preset_with_an_architecture_key_is_usage_error(tmp_path, capsys, caplog):
+    path = write_config(tmp_path, model={"preset": "base-89M", "n_layers": 2})
+    with caplog.at_level(logging.ERROR, logger="kttrace"):
+        code, _ = run_cli(capsys, "pretrain", "--config", str(path))
+    assert code == 1
+    assert "n_layers" in caplog.text and "'base-89M'" in caplog.text
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=5)
+
+
+def sections(keys, plausible):
+    """Config sections: known keys (and some unknown) with any JSON value,
+    or one that passes the type check."""
+    value = JSON_VALUES | plausible
+    return st.dictionaries(st.sampled_from(keys) | st.text(max_size=6), value, max_size=5)
+
+
+@settings(deadline=None, max_examples=300)
+@example(model={"preset": "base-89M", "n_layers": 2}, train={})
+@example(model={}, train={"learning_rate": float("nan")})
+@given(sections(["preset", "n_layers", "d_model", "n_head", "d_ff", "dropout",
+                 "max_seq_len"], st.sampled_from(["base-89M", "base-1.01B"])
+                | st.integers(-1, 64) | st.floats(-0.5, 1.5)),
+       sections(["learning_rate", "dropout", "max_epochs", "patience", "batch_size",
+                 "clip_norm"], st.integers(-1, 64) | st.floats(-0.5, 1.5)))
+def test_any_model_or_train_section_is_a_config_or_a_typed_error(model, train):
+    obj = json.loads(json.dumps({"seed": 3, "paths": {"workdir": "run"}, "model": model,
+                                 "train": train}))
+    try:
+        cfg = ExperimentConfig(obj, base_dir=Path("."))
+    except UsageError:
+        return
+    try:
+        cfg.model_config(GlobalVocab([("a", 0, 5, 3)]))
+    except (UsageError, ValueError):
+        pass
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # rates and dropouts off the paper's grid
+        try:
+            train_cfg = cfg.train_config("pretrain")
+        except (UsageError, ValueError):
+            return
+    assert 0 < train_cfg.learning_rate < np.inf
+
+
+@pytest.mark.parametrize("case", ["config", "dataset", "checkpoint"])
+def test_directory_given_as_an_input_file_is_usage_error(tmp_path, capsys, caplog, case):
+    path = write_config(tmp_path)
+    argv = {"config": ["synth", "--config", str(tmp_path), "--dataset", "low"],
+            "dataset": ["preprocess", "--config", str(path), "--dataset", "rich0"],
+            "checkpoint": ["eval", "--config", str(path), "--checkpoint", str(tmp_path)],
+            }[case]
+    (tmp_path / "run" / "data" / "rich0.txt").mkdir(parents=True)
+    with caplog.at_level(logging.ERROR, logger="kttrace"):
+        code, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert "Is a directory" in caplog.text and len(caplog.records) == 1
+
+
 def test_unknown_train_key_rejected(tmp_path, capsys):
     path = write_config(tmp_path, train={"learning_rate": 0.001, "warmup": 5})
     code, _ = run_cli(capsys, "pretrain", "--config", str(path))
@@ -145,8 +211,11 @@ def test_bad_model_size_is_data_error(pipeline, capsys, model):
     assert code == 2
 
 
-@pytest.mark.parametrize("train", [{"clip_norm": -1}, {"clip_norm": 0}, {"dropout": 1.5}],
-                         ids=["negative-clip", "zero-clip", "dropout-above-one"])
+@pytest.mark.parametrize("train", [{"clip_norm": -1}, {"clip_norm": 0}, {"dropout": 1.5},
+                                   {"learning_rate": float("nan")},
+                                   {"learning_rate": float("inf")}],
+                         ids=["negative-clip", "zero-clip", "dropout-above-one", "nan-rate",
+                              "infinite-rate"])
 def test_bad_train_value_is_data_error_before_training(pipeline, capsys, tmp_path,
                                                        monkeypatch, train):
     monkeypatch.setattr("kttrace.train.Adam.step",

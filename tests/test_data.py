@@ -24,7 +24,7 @@ from kttrace.data import (
     write_blocks,
 )
 from helpers import seq_of
-from oracles import oracle_pack
+from oracles import oracle_pack, oracle_simulate
 
 BLOCK = "s1,3\n10,11,10\n2_3,4,2\n1,0,1\n100,200,300\n"
 
@@ -431,6 +431,22 @@ def test_synthetic_saturated_ability_all_correct():
     assert all(s.responses.all() for s in seqs)
     # failure probability per interaction under sigmoid(10)
     assert all(1.0 - p < 1e-4 for ps in probs for p in ps)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_simulate_sequences_matches_the_step_loop(seed):
+    rng = np.random.default_rng(seed)
+    n_kcs = int(rng.integers(1, 6))
+    # sets of 1 to 3 KCs, repeats allowed: each occurrence counts once
+    question_kcs = [tuple(rng.integers(0, n_kcs, size=int(rng.integers(1, 4))).tolist())
+                    for _ in range(int(rng.integers(1, 15)))]
+    theta = rng.normal(size=int(rng.integers(1, 30)))
+    difficulty = rng.normal(size=len(question_kcs))
+    args = (theta, difficulty, question_kcs, n_kcs, 0.3, 12)
+    seqs, probs = simulate_sequences(*args, rng=np.random.default_rng(seed + 100))
+    want = oracle_simulate(*args, rng=np.random.default_rng(seed + 100))
+    got = [(s.questions.tolist(), s.responses.tolist(), p.tolist()) for s, p in zip(seqs, probs)]
+    assert got == want
 
 
 def test_synthetic_empirical_rate_matches_stored_probabilities():
