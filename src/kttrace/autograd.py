@@ -2,12 +2,12 @@
 
 The engine is deliberately small: it provides exactly the forward
 operations the knowledge-tracing model calls (add, mul, matmul,
-plain and weighted-bag embedding lookup, the one-step shift along time,
-sigmoid, layer norm, dropout, causal attention, gate application and the
-masked BCE loss), records them on an explicit tape, and replays the tape
-once per backward pass (:meth:`Tape.backward`). A test fails if any
-public function here goes unused by a gated training step, so dead ops
-do not accumulate. Gates are plain all-ones leaf tensors multiplied into
+plain and weighted embedding lookup, the one-step shift along time,
+sigmoid, layer norm, dropout, mean over an axis, causal attention, gate
+application and the masked BCE loss), records them on an explicit tape,
+and replays the tape once per backward pass (:meth:`Tape.backward`). A
+test fails if any public function here goes unused by a gated training
+step, so dead ops do not accumulate. Gates are plain all-ones leaf tensors multiplied into
 a layer's output, so their gradients can be read off ``Tensor.grad``
 without ever being applied as an update.
 
@@ -265,8 +265,8 @@ def matmul(a, b, transpose_b=False):
 
 
 def embedding_lookup(table, ids, weights=None):
-    """Gather ``table[ids]``; with ``weights`` of ``ids``' shape, sum the rows
-    times their weights over the last axis of ``ids``, one bag per leading index."""
+    """Gather ``table[ids]``; with ``weights`` of ``ids``' shape, each
+    gathered row is scaled by its weight."""
     table = _as_tensor(table)
     ids = np.asarray(ids)
     if table.ndim != 2:
@@ -278,16 +278,15 @@ def embedding_lookup(table, ids, weights=None):
     data = table.data[ids]
     if weights is not None:
         weights = np.asarray(weights, dtype=table.dtype)[..., None]
-        if ids.ndim == 0 or weights.shape[:-1] != ids.shape:
+        if weights.shape[:-1] != ids.shape:
             raise ShapeError(f"embedding_lookup: weights {weights.shape[:-1]} must "
-                             f"match ids {ids.shape}, at least 1-D")
+                             f"match ids {ids.shape}")
         data *= weights
-        data = data.sum(axis=-2)
     out = Tensor(data)
 
     def bwd(g):
         if weights is not None:
-            g = g[..., None, :] * weights
+            g = g * weights
         # sort the rows of g by id, stably, and sum each id's run in one pass
         order = np.argsort(ids, axis=None, kind="stable")
         rows, starts = np.unique(ids.reshape(-1)[order], return_index=True)
@@ -390,6 +389,19 @@ def dropout(x, p, rng):
 
     def bwd(g):
         return (g * keep,)
+
+    return _record(out, (x,), bwd)
+
+
+def mean_over_axis(x, axis):
+    x = _as_tensor(x)
+    n = x.shape[axis]
+    data = x.data.mean(axis=axis)
+    _check_finite("mean_over_axis", data)
+    out = Tensor(data)
+
+    def bwd(g):
+        return (np.broadcast_to(np.expand_dims(g, axis), x.shape) / n,)
 
     return _record(out, (x,), bwd)
 

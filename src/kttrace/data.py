@@ -371,7 +371,7 @@ class PackedBatch:
     dataset_index: int
     questions: np.ndarray      # [B, T] global ids
     kcs: np.ndarray            # [B, T, K] global ids
-    kc_weight: np.ndarray      # [B, T, K] 1/|KC set| on real KCs, else 0
+    kc_weight: np.ndarray      # [B, T, K] K/|KC set| on real KCs, else 0
     responses: np.ndarray      # [B, T]
     targets: np.ndarray        # [B, T, 1] response at t+1
     pred_mask: np.ndarray      # [B, T, 1]
@@ -402,7 +402,7 @@ def pack_segments(segments, vocab, dataset_index, dtype=np.float32):
     local_c = local_c[:, :, :K]
     questions = vocab.question_to_global(dataset_index, local_q)
     kcs = vocab.kc_to_global(dataset_index, local_c)
-    kc_weight = ((local_c >= 0) / np.maximum(n_kcs, 1)[..., None]).astype(dtype)
+    kc_weight = ((local_c >= 0) * (K / np.maximum(n_kcs, 1))[..., None]).astype(dtype)
     targets = np.zeros((B, T, 1), dtype=dtype)
     targets[:, :-1, 0] = responses[:, 1:]
     pred_mask = (np.arange(T) < lengths[:, None] - 1).astype(dtype)[..., None]

@@ -233,7 +233,9 @@ class KTModel:
         type_q = ag.embedding_lookup(P["emb.type"], np.array([[0]]))
         type_c = ag.embedding_lookup(P["emb.type"], np.array([[1]]))
         shared = ag.add(ag.embedding_lookup(P["emb.question"], batch.questions), type_q)
+        # each real KC row is scaled by K/|KC set|, so the mean over K is the set's mean
         kc = ag.embedding_lookup(P["emb.kc"], batch.kcs, batch.kc_weight)
+        kc = ag.mean_over_axis(kc, 2)
         shared = ag.add(ag.add(shared, kc), type_c)
         enc = ag.add(shared, ag.embedding_lookup(P["emb.response"], batch.responses))
         enc = ag.add(enc, ag.embedding_lookup(

@@ -252,7 +252,7 @@ def oracle_pack(segments, vocab, dataset_index, dtype=np.float32):
             questions[b, t] = to_global(int(seq.questions[t]), vocab.q_offsets, nq, pad_q)
             for k, c in enumerate(kc_sets[b][t]):
                 kcs[b, t, k] = to_global(c, vocab.kc_offsets, nk, pad_c)
-                kc_weight[b, t, k] = 1.0 / len(kc_sets[b][t])
+                kc_weight[b, t, k] = K / len(kc_sets[b][t])
             responses[b, t] = int(seq.responses[t])
 
     targets = np.zeros((B, T, 1), dtype=dtype)

@@ -21,6 +21,7 @@ from kttrace.autograd import (
     gate_apply,
     layer_norm,
     matmul,
+    mean_over_axis,
     mul,
     next_step,
     sigmoid,
@@ -31,9 +32,10 @@ from oracles import embedding_backward
 
 
 def scalarize(t):
-    """A scalar loss over every element of ``t``: the mean BCE of
-    ``sigmoid(t)`` against all-zero targets, which is the mean softplus."""
-    return bce_loss(sigmoid(t), np.zeros(t.shape), np.ones(t.shape))
+    """Reduce any tensor to a scalar loss using only mean_over_axis."""
+    while t.ndim > 0:
+        t = mean_over_axis(t, 0)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -87,36 +89,36 @@ def lookups(draw):
 @settings(deadline=None)
 @example(lookup=(2, 4, np.array([[0]]), 0), weighted=False)  # the token-type lookup
 @example(lookup=(9, 4, np.arange(9)[None], 1), weighted=False)  # the [1, T] positions
-@example(lookup=(5, 4, np.array([[[1, 3, 1], [4, 0, 0]]]), 2), weighted=True)  # KC bags
+@example(lookup=(5, 4, np.array([[[1, 3, 1], [4, 0, 0]]]), 2), weighted=True)  # KC sets
 @given(lookups(), st.booleans())
 def test_embedding_backward_matches_add_at(lookup, weighted):
     rows, width, ids, seed = lookup
     rng = np.random.default_rng(seed)
     table = Tensor(rng.normal(size=(rows, width)), requires_grad=True)
     weights = rng.normal(size=ids.shape) if weighted else None
-    g = rng.normal(size=ids.shape[:-1 if weighted else None] + (width,))
+    g = rng.normal(size=ids.shape + (width,))
     with Tape() as tape:
         embedding_lookup(table, ids, weights)
     (got,) = tape._nodes[-1].bwd(g)
-    # a weighted bag passes each row its bag's gradient times its weight
-    per_row = g[..., None, :] * weights[..., None] if weighted else g
+    # a weighted row passes on its gradient times its weight
+    per_row = g * weights[..., None] if weighted else g
     np.testing.assert_allclose(got, embedding_backward(rows, ids, per_row),
                                rtol=0, atol=1e-12)
 
 
-def test_weighted_lookup_sums_each_bag():
+def test_weighted_lookup_scales_each_row():
     table = Tensor(np.arange(12.0).reshape(4, 3))
     ids = np.array([[[0, 2, 2], [3, 1, 0]]])
     weights = np.array([[[0.5, 0.25, 0.25], [1.0, 0.0, 0.0]]])
-    want = [[sum(w * table.data[i] for i, w in zip(bag, ws))
-             for bag, ws in zip(ids[0], weights[0])]]
+    want = [[[w * table.data[i] for i, w in zip(row, ws)]
+             for row, ws in zip(ids[0], weights[0])]]
     np.testing.assert_array_equal(embedding_lookup(table, ids, weights).data, want)
 
 
 @pytest.mark.parametrize("ids, weights", [
     (np.zeros((2, 3), dtype=np.int64), np.ones((2, 2))),
     (np.zeros((2, 3), dtype=np.int64), np.ones((2, 3, 1))),
-    (np.int64(1), np.ones(())),
+    (np.int64(1), np.ones(1)),
 ], ids=["short", "extra-axis", "scalar-id"])
 def test_weights_must_match_ids(ids, weights):
     with pytest.raises(ShapeError, match="embedding_lookup: weights"):
@@ -129,6 +131,11 @@ def test_layer_norm_constant_row_is_zero():
     b = Tensor(np.zeros(width))
     out = layer_norm(Tensor(np.full((2, width), 3.7)), g, b)
     np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
+
+
+def test_mean_over_axis_value():
+    out = mean_over_axis(Tensor([[1.0, 3.0], [5.0, 7.0]]), axis=1)
+    np.testing.assert_allclose(out.data, [2.0, 6.0])
 
 
 def test_dropout_eval_is_identity():
@@ -177,12 +184,12 @@ def test_gate_apply_is_identity():
 
 
 def test_gate_gradient_of_sum_is_layer_output():
-    # L = sum(g * o) as a [1, 1] product with a ones column; dL/dg = o
-    o = Tensor(np.array([[0.2, -1.5]]), requires_grad=True)
+    # L = sum(g * o) via mean * n; dL/dg = o
+    o = Tensor(np.array([0.2, -1.5]), requires_grad=True)
     gate = ones_gate(2, dtype=np.float64)
     with Tape() as tape:
         gated = gate_apply(o, gate)
-        loss = matmul(gated, Tensor(np.ones((2, 1))))
+        loss = mul(mean_over_axis(gated, 0), Tensor(np.float64(2.0)))
     tape.backward(loss)
     np.testing.assert_allclose(gate.grad, [0.2, -1.5], rtol=1e-12)
 
@@ -245,7 +252,7 @@ def test_bce_total_must_be_positive_and_cover_the_mask(total):
 def test_square_gradient():
     x = Tensor(np.array([3.0]), requires_grad=True)
     with Tape() as tape:
-        loss = mul(x, x)
+        loss = scalarize(mul(x, x))
     grads = tape.backward(loss)
     np.testing.assert_allclose(grads[x], [6.0])
 
@@ -256,7 +263,7 @@ def test_dead_branch_gradient_is_exactly_zero():
     with Tape() as tape:
         used = mul(x, x)
         mul(dead, dead)  # recorded but never feeds the loss
-        loss = used
+        loss = scalarize(used)
     grads = tape.backward(loss)
     assert (grads[dead] == 0.0).all()
 
@@ -264,7 +271,7 @@ def test_dead_branch_gradient_is_exactly_zero():
 def test_repeated_backward_accumulates():
     x = Tensor(np.array([3.0]), requires_grad=True)
     with Tape() as tape:
-        loss = mul(x, x)
+        loss = scalarize(mul(x, x))
     tape.backward(loss)
     tape.backward(loss)
     np.testing.assert_allclose(x.grad, [12.0])
@@ -415,15 +422,16 @@ def test_grad_embedding_lookup():
 
 def test_grad_weighted_embedding_lookup():
     # KC-set means as the model packs them: sets of 3, 2 and 1 KCs with
-    # repeated ids, weight 1/3 (not a power of two) and zero-weight padding
+    # repeated ids, weight K/|set| (3/2 is not a power of two) and
+    # zero-weight padding, averaged over the K = 3 slots
     rng = np.random.default_rng(8)
     ids = np.array([[[0, 2, 4], [2, 4, 5], [1, 5, 5]],
                     [[4, 0, 2], [3, 1, 5], [2, 5, 5]]])
     sizes = np.array([[3, 3, 2], [3, 1, 1]])[..., None]
-    weights = (np.arange(3) < sizes) / sizes
+    weights = (np.arange(3) < sizes) * 3 / sizes
     arrays = {"table": rng.normal(size=(6, 4))}
-    check_op_grads(
-        lambda t: scalarize(sigmoid(embedding_lookup(t["table"], ids, weights))), arrays)
+    check_op_grads(lambda t: scalarize(sigmoid(mean_over_axis(
+        embedding_lookup(t["table"], ids, weights), 2))), arrays)
 
 
 def test_grad_next_step():
@@ -452,6 +460,12 @@ def test_grad_causal_attention():
     check_op_grads(
         lambda t: scalarize(sigmoid(causal_attention(t["q"], t["k"], t["v"], n_head=2))),
         arrays)
+
+
+def test_grad_mean_over_axis():
+    rng = np.random.default_rng(9)
+    arrays = {"x": rng.normal(size=(3, 4, 2))}
+    check_op_grads(lambda t: scalarize(sigmoid(mean_over_axis(t["x"], 1))), arrays)
 
 
 def test_grad_dropout_with_fixed_mask():
@@ -489,7 +503,7 @@ def test_grad_gate_through_composition():
 
     def loss_fn(gv):
         hh = 1.0 / (1.0 + np.exp(-(x @ w)))
-        return float(np.logaddexp(0.0, hh * gv).mean())
+        return float((hh * gv).mean())
 
     fd = np.zeros(4)
     h_ = 1e-5
