@@ -6,7 +6,10 @@ plain and weighted embedding lookup, the one-step shift along time,
 sigmoid, layer norm, dropout, mean over an axis, causal attention, gate
 application and the masked BCE loss), records them on an explicit tape,
 and replays the tape once per backward pass (:meth:`Tape.backward`). A
-test fails if any public function here goes unused by a gated training
+tape node keeps only the arrays its backward reads, never an input
+``Tensor``, so an activation no backward needs is freed as soon as the
+forward drops it; gradients are routed by the node that produced each
+input. A test fails if any public function here goes unused by a gated training
 step, so dead ops do not accumulate. Gates are plain all-ones leaf tensors multiplied into
 a layer's output, so their gradients can be read off ``Tensor.grad``
 without ever being applied as an update.
@@ -46,10 +49,11 @@ class Tensor:
 
     ``grad`` is populated by :meth:`Tape.backward` for leaf tensors
     (parameters and gates) and accumulates across repeated backward calls
-    until :meth:`zero_grad`.
+    until :meth:`zero_grad`. ``node`` is the tape node that produced a
+    non-leaf tensor.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "is_leaf", "name")
+    __slots__ = ("data", "requires_grad", "grad", "is_leaf", "name", "node")
 
     def __init__(self, data, requires_grad=False, name=None, dtype=None):
         arr = np.asarray(data)
@@ -62,6 +66,7 @@ class Tensor:
         self.grad = None
         self.is_leaf = True
         self.name = name
+        self.node = None
 
     @property
     def shape(self):
@@ -79,7 +84,7 @@ class Tensor:
         self.grad = None
 
     def item(self):
-        return float(self.data)
+        return float(self.data.item())
 
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
@@ -108,11 +113,15 @@ def _reduce_to(grad, shape):
 
 
 class _Node:
-    __slots__ = ("out", "inputs", "bwd")
+    """One recorded op: ``bwd`` maps the output's gradient to one gradient
+    (or ``None``) per input, and ``sources`` says where each one goes: the
+    leaf ``Tensor`` whose ``.grad`` accumulates it, the ``_Node`` that
+    produced a non-leaf input, or ``None`` for an input that needs none."""
 
-    def __init__(self, out, inputs, bwd):
-        self.out = out
-        self.inputs = inputs
+    __slots__ = ("sources", "bwd")
+
+    def __init__(self, sources, bwd):
+        self.sources = sources
         self.bwd = bwd
 
 
@@ -131,7 +140,6 @@ class Tape:
 
     def __init__(self):
         self._nodes = []
-        self._produced = set()
         self._leaves = []
         self._leaf_ids = set()
 
@@ -160,21 +168,22 @@ class Tape:
         if not isinstance(loss, Tensor) or loss.data.size != 1:
             shape = getattr(loss, "shape", None)
             raise GraphError(f"backward requires a scalar loss, got shape {shape}")
-        if id(loss) not in self._produced:
+        if loss.node is None or loss.node not in self._nodes:
             raise GraphError("loss was not produced on this tape (detached graph)")
-        flow = {id(loss): np.ones_like(loss.data)}
+        # keyed by producing node; the nodes stay in _nodes, so their ids are stable
+        flow = {id(loss.node): np.ones_like(loss.data)}
         for node in reversed(self._nodes):
-            g = flow.pop(id(node.out), None)
+            g = flow.pop(id(node), None)
             if g is None:
                 continue
-            for inp, gi in zip(node.inputs, node.bwd(g)):
-                if gi is None or not isinstance(inp, Tensor) or not inp.requires_grad:
+            for src, gi in zip(node.sources, node.bwd(g)):
+                if gi is None or src is None:
                     continue
-                if inp.is_leaf:
-                    inp.grad = gi.copy() if inp.grad is None else inp.grad + gi
+                if isinstance(src, Tensor):
+                    src.grad = gi.copy() if src.grad is None else src.grad + gi
                 else:
-                    prev = flow.get(id(inp))
-                    flow[id(inp)] = gi if prev is None else prev + gi
+                    prev = flow.get(id(src))
+                    flow[id(src)] = gi if prev is None else prev + gi
         grads = {}
         for leaf in self._leaves:
             if leaf.grad is None:
@@ -184,19 +193,27 @@ class Tape:
 
 
 def _record(out, inputs, bwd):
-    if not _TAPES:
-        return out
-    tensors = [t for t in inputs if isinstance(t, Tensor)]
-    if not any(t.requires_grad for t in tensors):
+    """Put ``out`` on the active tape when an input needs a gradient.
+
+    ``bwd`` must capture only the arrays it reads, never an input tensor,
+    or the tape would keep every input alive until the backward ends.
+    """
+    if not _TAPES or not any(t.requires_grad for t in inputs):
         return out
     tape = _TAPES[-1]
+    sources = []
+    for t in inputs:
+        if not t.requires_grad:
+            sources.append(None)
+        elif t.is_leaf:
+            tape._register_leaf(t)
+            sources.append(t)
+        else:
+            sources.append(t.node)
     out.requires_grad = True
     out.is_leaf = False
-    tape._nodes.append(_Node(out, tuple(inputs), bwd))
-    tape._produced.add(id(out))
-    for t in tensors:
-        if t.requires_grad and t.is_leaf:
-            tape._register_leaf(t)
+    out.node = _Node(tuple(sources), bwd)
+    tape._nodes.append(out.node)
     return out
 
 
@@ -212,9 +229,10 @@ def add(a, b):
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
     _check_finite("add", data)
     out = Tensor(data)
+    a_shape, b_shape = a.shape, b.shape
 
     def bwd(g):
-        return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
+        return _reduce_to(g, a_shape), _reduce_to(g, b_shape)
 
     return _record(out, (a, b), bwd)
 
@@ -227,10 +245,15 @@ def mul(a, b):
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from None
     _check_finite("mul", data)
     out = Tensor(data)
+    # each operand is kept only if the other one's gradient reads it; an
+    # operand that needs no gradient (a constant mask) gets none
+    a_shape, b_shape = a.shape, b.shape
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
-    def bwd(g):   # no gradient for an operand that needs none (a constant mask)
-        return (_reduce_to(g * b.data, a.shape) if a.requires_grad else None,
-                _reduce_to(g * a.data, b.shape) if b.requires_grad else None)
+    def bwd(g):
+        return (None if b_data is None else _reduce_to(g * b_data, a_shape),
+                None if a_data is None else _reduce_to(g * a_data, b_shape))
 
     return _record(out, (a, b), bwd)
 
@@ -253,11 +276,13 @@ def matmul(a, b, transpose_b=False):
         data = np.matmul(a.data, b_eff)
     _check_finite("matmul", data)
     out = Tensor(data)
+    a2 = a.data.reshape(-1, a.shape[-1]) if b.requires_grad else None
 
     def bwd(g):
         ga = np.matmul(g, b_eff.T)
+        if a2 is None:   # the weight needs no gradient
+            return ga, None
         g2 = g.reshape(-1, g.shape[-1])
-        a2 = a.data.reshape(-1, a.shape[-1])
         gb = g2.T @ a2 if transpose_b else a2.T @ g2
         return ga, gb
 
@@ -283,6 +308,7 @@ def embedding_lookup(table, ids, weights=None):
                              f"match ids {ids.shape}")
         data *= weights
     out = Tensor(data)
+    shape, dtype = table.shape, table.dtype
 
     def bwd(g):
         if weights is not None:
@@ -290,8 +316,8 @@ def embedding_lookup(table, ids, weights=None):
         # sort the rows of g by id, stably, and sum each id's run in one pass
         order = np.argsort(ids, axis=None, kind="stable")
         rows, starts = np.unique(ids.reshape(-1)[order], return_index=True)
-        gt = np.zeros_like(table.data)
-        gt[rows] = np.add.reduceat(g.reshape(-1, table.shape[1])[order], starts, axis=0)
+        gt = np.zeros(shape, dtype=dtype)
+        gt[rows] = np.add.reduceat(g.reshape(-1, shape[1])[order], starts, axis=0)
         return (gt,)
 
     return _record(out, (table,), bwd)
@@ -356,14 +382,15 @@ def layer_norm(x, gain, bias, eps=LN_EPS):
     data = xhat * gain.data + bias.data
     _check_finite("layer_norm", data)
     out = Tensor(data)
+    gamma = gain.data
 
     def bwd(g):
-        dxhat = g * gain.data
+        dxhat = g * gamma
         dx = inv * (dxhat
                     - dxhat.mean(axis=-1, keepdims=True)
                     - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-        dgain = _reduce_to(g * xhat, gain.shape)
-        dbias = _reduce_to(g, bias.shape)
+        dgain = _reduce_to(g * xhat, gamma.shape)
+        dbias = _reduce_to(g, gamma.shape)
         return dx, dgain, dbias
 
     return _record(out, (x, gain, bias), bwd)
@@ -384,11 +411,17 @@ def dropout(x, p, rng):
         return x
     if rng is None:
         raise ValueError("dropout: a rate above 0 needs a seeded rng")
-    keep = (rng.random(x.shape) >= p).astype(x.dtype) / x.dtype.type(1.0 - p)
-    out = Tensor(x.data * keep)
+    # the tape keeps the one-byte mask; both passes rebuild the same factors
+    kept = rng.random(x.shape) >= p
+    dtype = x.dtype.type
+
+    def factors():
+        return kept.astype(dtype) / dtype(1.0 - p)
+
+    out = Tensor(x.data * factors())
 
     def bwd(g):
-        return (g * keep,)
+        return (g * factors(),)
 
     return _record(out, (x,), bwd)
 
@@ -399,9 +432,10 @@ def mean_over_axis(x, axis):
     data = x.data.mean(axis=axis)
     _check_finite("mean_over_axis", data)
     out = Tensor(data)
+    shape = x.shape
 
     def bwd(g):
-        return (np.broadcast_to(np.expand_dims(g, axis), x.shape) / n,)
+        return (np.broadcast_to(np.expand_dims(g, axis), shape) / n,)
 
     return _record(out, (x,), bwd)
 
@@ -509,9 +543,10 @@ def bce_loss(probs, targets, mask, total=None):
     data = np.asarray(-(m * per).sum() / total, dtype=probs.dtype)
     _check_finite("bce_loss", data)
     out = Tensor(data)
+    p = probs.data
 
     def bwd(g):
-        inside = ((probs.data >= lo) & (probs.data <= hi)).astype(probs.dtype)
+        inside = ((p >= lo) & (p <= hi)).astype(p.dtype)
         dp = m * (pc - t) / (pc * (1.0 - pc)) / total * inside
         return (g * dp,)
 

@@ -136,9 +136,11 @@ def compute_importance(model, prepared, batch_size=1, normalize=True):
     ``in_batches`` run, ``backward_batch`` yields |d loss / d gate|.
     The accumulated sum is divided by the number of training sequences
     (each batch of one sequence contributes exactly one per-sample term;
-    larger batches trade fidelity for speed). Parameters and gates are
-    never updated. With ``normalize``, each layer is divided by its own
-    max so the strongest unit scores 1.
+    larger batches trade fidelity for speed). Only the gates get
+    gradients: parameters stop requiring them for the loop, so their
+    ``.grad`` is left as it was and no weight gradient is computed.
+    With ``normalize``, each layer is divided by its own max so the
+    strongest unit scores 1.
     """
     segments = prepared.splits.train
     if not segments:
@@ -146,11 +148,19 @@ def compute_importance(model, prepared, batch_size=1, normalize=True):
     gates = model.make_gates()
     acc = {lid: np.zeros(g.shape[-1], dtype=model.dtype) for lid, g in gates.items()}
     n = len(segments)
-    for batch in in_batches(segments, batch_size):
-        model.backward_batch(batch, prepared.spec.dataset_index, gates=gates)
-        for lid, gate in gates.items():
-            acc[lid] += np.abs(gate.grad)
-            gate.zero_grad()
+    params = list(model.parameters().values())
+    wanted = [p.requires_grad for p in params]
+    for p in params:
+        p.requires_grad = False
+    try:
+        for batch in in_batches(segments, batch_size):
+            model.backward_batch(batch, prepared.spec.dataset_index, gates=gates)
+            for lid, gate in gates.items():
+                acc[lid] += np.abs(gate.grad)
+                gate.zero_grad()
+    finally:
+        for p, flag in zip(params, wanted):
+            p.requires_grad = flag
 
     profile = ImportanceProfile(dataset=prepared.spec.name, n_samples=n)
     for (block, kind), total in acc.items():

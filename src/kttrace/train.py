@@ -17,6 +17,8 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
+import numbers
 import struct
 import warnings
 from collections import OrderedDict
@@ -72,6 +74,18 @@ class CheckpointDigestError(ValueError):
     """Stored SHA-256 digest does not match the file contents."""
 
 
+def _positive_float(value):
+    """True for a number that converts to a positive finite float.
+
+    json reads NaN and Infinity, and an integer such as 10**400 compares
+    below infinity yet overflows when numpy converts it.
+    """
+    try:
+        return isinstance(value, numbers.Real) and 0 < float(value) < math.inf
+    except OverflowError:
+        return False
+
+
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-3
@@ -83,14 +97,15 @@ class TrainConfig:
     clip_norm: float | None = 5.0
 
     def __post_init__(self):
-        if not 0 < self.learning_rate < np.inf:   # json reads NaN and Infinity
+        if not _positive_float(self.learning_rate):
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.max_epochs <= 0 or self.batch_size < 1:
             raise ValueError("max_epochs and batch_size must be positive")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if self.clip_norm is not None and not self.clip_norm > 0:
-            raise ValueError(f"clip_norm must be positive or null, got {self.clip_norm}")
+        if self.clip_norm is not None and not _positive_float(self.clip_norm):
+            raise ValueError(f"clip_norm must be positive and finite or null, "
+                             f"got {self.clip_norm}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.learning_rate not in GRID_LEARNING_RATES:

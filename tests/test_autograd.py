@@ -1,4 +1,7 @@
+import gc
 import inspect
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -27,7 +30,9 @@ from kttrace.autograd import (
     sigmoid,
 )
 from kttrace.data import pack_segments
-from helpers import build_tiny, finite_diff, hand_sequences, max_rel_err
+from kttrace.model import KTModel
+from helpers import (build_tiny, finite_diff, hand_sequences, max_rel_err, seq_of,
+                     tiny_config, tiny_vocab)
 from oracles import embedding_backward
 
 
@@ -277,6 +282,12 @@ def test_repeated_backward_accumulates():
     np.testing.assert_allclose(x.grad, [12.0])
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+def test_item_reads_any_one_element_array(shape):
+    value = Tensor(np.full(shape, 2.5, dtype=np.float32)).item()
+    assert type(value) is float and value == 2.5
+
+
 def test_backward_rejects_non_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with Tape() as tape:
@@ -327,6 +338,9 @@ def _recorded_op(op, rng):
     if op == "next_step":
         x = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
         return [x], [], lambda: next_step(x)
+    if op == "dropout":
+        x = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
+        return [x], [], lambda: dropout(x, 0.3, np.random.default_rng(5))
     if op == "mul":
         x = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
         mask = (rng.random(size=(2, 5, 1)) < 0.5).astype(np.float64)
@@ -337,7 +351,7 @@ def _recorded_op(op, rng):
 
 
 @pytest.mark.parametrize("op", ["sigmoid", "causal_attention", "embedding_lookup",
-                                "next_step", "mul"])
+                                "next_step", "mul", "dropout"])
 def test_backward_reuses_no_buffer_it_does_not_own(op):
     rng = np.random.default_rng(13)
     leaves, constants, call = _recorded_op(op, rng)
@@ -369,6 +383,78 @@ def test_backward_reuses_no_buffer_it_does_not_own(op):
     twice = tape.backward(loss)
     for t in leaves:
         np.testing.assert_array_equal(twice[t], 2.0 * once[t])
+
+
+# ---------------------------------------------------------------------------
+# the tape keeps only the arrays a backward reads
+
+
+KEEPS = {   # op -> (call on a non-leaf [2, 6, 4] input, whether its backward reads it)
+    "add": (lambda x, p: add(x, p["bias"]), False),
+    "sigmoid": (lambda x, p: sigmoid(x), False),
+    "layer_norm": (lambda x, p: layer_norm(x, p["gain"], p["bias"]), False),
+    "dropout": (lambda x, p: dropout(x, 0.3, np.random.default_rng(1)), False),
+    "mean_over_axis": (lambda x, p: mean_over_axis(x, 1), False),
+    "next_step": (lambda x, p: next_step(x), False),
+    "matmul, constant weight": (lambda x, p: matmul(x, Tensor(p["w"].data)), False),
+    "matmul": (lambda x, p: matmul(x, p["w"], transpose_b=True), True),
+    "mul": (lambda x, p: mul(x, p["gain"]), True),
+    "causal_attention": (lambda x, p: causal_attention(x, x, x, n_head=2), True),
+}
+
+
+@pytest.mark.parametrize("op", list(KEEPS))
+def test_tape_keeps_an_input_only_if_its_backward_reads_it(op):
+    call, reads = KEEPS[op]
+    rng = np.random.default_rng(21)
+    leaf = Tensor(rng.normal(size=(2, 6, 4)), requires_grad=True)
+    params = {name: Tensor(rng.normal(size=shape), requires_grad=True)
+              for name, shape in (("bias", (4,)), ("gain", (4,)), ("w", (4, 4)))}
+    with Tape() as tape:
+        x = add(leaf, params["bias"])   # a non-leaf input; add keeps only shapes
+        alive = weakref.ref(x.data)
+        out = call(x, params)
+        del x
+        loss = scalarize(sigmoid(out))
+    del out
+    gc.collect()
+    assert (alive() is not None) == reads
+    grads = tape.backward(loss)
+    assert grads[leaf].shape == leaf.shape and np.abs(grads[leaf]).sum() > 0
+
+
+def test_a_recorded_forward_retains_only_the_arrays_its_backward_reads():
+    B, T, d, H, K, blocks = 8, 64, 64, 2, 2, 4
+    vocab = tiny_vocab()
+    model = KTModel.build(tiny_config(vocab, n_layers=blocks, d_model=d, n_head=H, d_ff=d,
+                                      max_seq_len=T), vocab, seed=0, dtype=np.float32)
+    rng = np.random.default_rng(3)
+    segments = [seq_of(f"s{i}", [(int(rng.integers(12)), (int(rng.integers(6)), 5),
+                                  int(rng.integers(2)), 60 * t) for t in range(T)])
+                for i in range(B)]
+    batch = pack_segments(segments, vocab, 0, dtype=np.float32)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            probs = model.forward_batch(batch, drop_p=0.1, rng=np.random.default_rng(0))
+            loss = bce_loss(probs, batch.targets, batch.pred_mask)
+        del probs
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(tape._nodes) == 101 and loss.node is tape._nodes[-1]   # 100 + the loss
+    # float32 [B, T, d] arrays read by each block's backward: both layer norms'
+    # normalized inputs, their outputs (read by the weight gradients), q, k, v
+    # and the attention output; then the sigmoid output, the [B, H, T, T]
+    # probabilities and the two one-byte dropout masks. After the blocks: the
+    # final layer norm's normalized input, the head's input and its sigmoid.
+    cell = B * T * d
+    per_block = 8 * 4 * cell + 4 * cell + 4 * B * H * T * T + 2 * cell
+    listed = blocks * per_block + 3 * 4 * cell
+    # the rest is [B, T]-sized arrays, ids, weights and ~100 nodes' objects
+    assert retained < 1.05 * listed, (retained, listed)
 
 
 # ---------------------------------------------------------------------------

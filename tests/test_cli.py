@@ -213,9 +213,10 @@ def test_bad_model_size_is_data_error(pipeline, capsys, model):
 
 @pytest.mark.parametrize("train", [{"clip_norm": -1}, {"clip_norm": 0}, {"dropout": 1.5},
                                    {"learning_rate": float("nan")},
-                                   {"learning_rate": float("inf")}],
+                                   {"learning_rate": float("inf")},
+                                   {"learning_rate": 10**400}, {"clip_norm": 10**400}],
                          ids=["negative-clip", "zero-clip", "dropout-above-one", "nan-rate",
-                              "infinite-rate"])
+                              "infinite-rate", "huge-int-rate", "huge-int-clip"])
 def test_bad_train_value_is_data_error_before_training(pipeline, capsys, tmp_path,
                                                        monkeypatch, train):
     monkeypatch.setattr("kttrace.train.Adam.step",

@@ -13,6 +13,7 @@ from kttrace.data import (
     Splits,
     SyntheticConfig,
     generate_synthetic,
+    in_batches,
     pack_by_length,
     pack_segments,
     preprocess,
@@ -152,6 +153,28 @@ def test_importance_leaves_model_untouched():
     compute_importance(model, prepared_tiny(), batch_size=1)
     after = {n: t.data.tobytes() for n, t in model.parameters().items()}
     assert before == after
+
+
+def test_importance_backpropagates_into_the_gates_only():
+    model, _ = build_tiny(n_layers=2)
+    prepared = prepared_tiny()
+    # the same loop with every parameter requiring a gradient
+    gates = model.make_gates()
+    want = {lid: np.zeros(g.shape[-1]) for lid, g in gates.items()}
+    for batch in in_batches(prepared.splits.train, 1):
+        model.backward_batch(batch, prepared.spec.dataset_index, gates=gates)
+        for lid, gate in gates.items():
+            want[lid] += np.abs(gate.grad)
+            gate.zero_grad()
+    grads = {n: t.grad.copy() for n, t in model.parameters().items()}
+
+    profile = compute_importance(model, prepared, batch_size=1, normalize=False)
+    for lid, total in want.items():
+        np.testing.assert_array_equal(profile.layers[lid].values,
+                                      total / len(prepared.splits.train))
+    for name, t in model.parameters().items():
+        assert t.requires_grad
+        np.testing.assert_array_equal(t.grad, grads[name])
 
 
 def test_importance_covers_all_sublayers_and_is_nonnegative():
