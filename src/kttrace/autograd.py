@@ -9,10 +9,10 @@ and replays the tape once per backward pass (:meth:`Tape.backward`). A
 tape node keeps only the arrays its backward reads, never an input
 ``Tensor``, so an activation no backward needs is freed as soon as the
 forward drops it; gradients are routed by the node that produced each
-input. A test fails if any public function here goes unused by a gated training
-step, so dead ops do not accumulate. Gates are plain all-ones leaf tensors multiplied into
-a layer's output, so their gradients can be read off ``Tensor.grad``
-without ever being applied as an update.
+input. A test fails if any public function here goes unused by a gated
+training step, so dead ops do not accumulate. Gates are plain all-ones
+leaf tensors multiplied into a layer's output, so their gradients can be
+read off ``Tensor.grad`` without ever being applied as an update.
 
 Float32 is the working precision; float64 exists for verification
 (finite-difference checks are unreliable at 32-bit). Over every finite

@@ -305,7 +305,7 @@ class KTModel:
                 part_loss = ag.bce_loss(probs, part.targets, part.pred_mask, total=scored)
             tape.backward(part_loss)
             loss += part_loss.item()
-            del probs, part_loss   # through .node they would hold this graph into the next
+            del probs, part_loss   # each holds this class's graph through .node
         return loss
 
     def predict_batch(self, batch):

@@ -424,7 +424,7 @@ def test_tape_keeps_an_input_only_if_its_backward_reads_it(op):
 
 
 def test_a_recorded_forward_retains_only_the_arrays_its_backward_reads():
-    B, T, d, H, K, blocks = 8, 64, 64, 2, 2, 4
+    B, T, d, H, blocks = 8, 64, 64, 2, 4
     vocab = tiny_vocab()
     model = KTModel.build(tiny_config(vocab, n_layers=blocks, d_model=d, n_head=H, d_ff=d,
                                       max_seq_len=T), vocab, seed=0, dtype=np.float32)
