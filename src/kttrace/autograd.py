@@ -30,6 +30,7 @@ import numpy as np
 LN_EPS = 1e-5
 PROB_CLAMP = 1e-7
 MASK_FILL = -1e9  # additive pre-softmax fill; underflows to exactly 0 after exp
+ATTN_TILE = 64    # most query rows per causal_attention tile
 
 
 class ShapeError(ValueError):
@@ -444,9 +445,15 @@ def causal_attention(q, k, v, n_head):
     """Multi-head scaled dot-product attention with a strict causal mask.
 
     Inputs are [batch, time, d_model]; position j attends to positions
-    <= j only. The mask adds a large negative constant before softmax,
-    which underflows to exactly zero probability, so gradients through
-    future positions are exactly zero as well.
+    <= j only. The queries are cut into ``ceil(T / ATTN_TILE)`` equal
+    tiles (the last may be shorter). Tile ``[s, e)`` scores only keys
+    ``[0, e)``, its whole causal prefix, so a plain softmax per tile is
+    exact; keys past each query get a large negative constant, added to
+    the tile's diagonal block only, which underflows to exactly zero
+    probability, so gradients through future positions are exactly zero
+    as well. The tape keeps the tiles' probabilities, sum(tile * e)
+    cells instead of T*T (62.5 % at T = 200); the backward walks the same
+    tiles, so no array of [B, H, T, T] cells is ever built.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if not (q.shape == k.shape == v.shape) or q.ndim != 3:
@@ -458,40 +465,50 @@ def causal_attention(q, k, v, n_head):
     dh = D // n_head
     # a float64 scalar would promote float32 scores to float64
     scale = q.dtype.type(1.0 / np.sqrt(dh))
+    size = -(-T // -(-T // ATTN_TILE))   # ceil(T / n) rows for n = ceil(T / ATTN_TILE)
+    tiles = [(s, min(s + size, T)) for s in range(0, T, size)]
+    mask = np.triu(np.full((size, size), MASK_FILL, dtype=q.dtype), k=1)
 
-    def split(x):
+    def heads(x):   # a [B, H, T, dh] view of a [B, T, D] array
         return x.reshape(B, T, n_head, dh).transpose(0, 2, 1, 3)
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    data = np.empty((B, T, D), dtype=q.dtype)
+    ctx = heads(data)
+    probs = []
     with np.errstate(over="ignore", invalid="ignore"):
-        # scores become probabilities in place, in the one [B,H,T,T] buffer
-        attn = np.matmul(qh, np.swapaxes(kh, -1, -2))
-        attn *= scale
-        attn += np.triu(np.full((T, T), MASK_FILL, dtype=attn.dtype), k=1)
-        attn -= attn.max(axis=-1, keepdims=True)
-        np.exp(attn, out=attn)
-        attn /= attn.sum(axis=-1, keepdims=True)
-        ctx = np.matmul(attn, vh)
-    data = ctx.transpose(0, 2, 1, 3).reshape(B, T, D)
+        for s, e in tiles:
+            # a tile's scores become its probabilities in place
+            p = np.matmul(qh[:, :, s:e], np.swapaxes(kh[:, :, :e], -1, -2))
+            p *= scale
+            p[..., s:] += mask[:e - s, :e - s]
+            p -= p.max(axis=-1, keepdims=True)
+            np.exp(p, out=p)
+            p /= p.sum(axis=-1, keepdims=True)
+            np.matmul(p, vh[:, :, :e], out=ctx[:, :, s:e])
+            probs.append(p)
     _check_finite("causal_attention", data)
     out = Tensor(data)
 
     def bwd(g):
-        go = g.reshape(B, T, n_head, dh).transpose(0, 2, 1, 3)
-        g_attn = np.matmul(go, np.swapaxes(vh, -1, -2))
-        gv = np.matmul(np.swapaxes(attn, -1, -2), go)
-        inner = (g_attn * attn).sum(axis=-1, keepdims=True)
-        g_attn -= inner
-        g_attn *= attn  # now the gradient of the scaled scores
-        gq = np.matmul(g_attn, kh)
+        go = heads(g)
+        # sum_j dP_ij P_ij = go_i . ctx_i, since dP_ij = go_i . v_j; ctx is
+        # a view of the output, which the output projection keeps anyway
+        inner = (go * ctx).sum(axis=-1, keepdims=True)
+        gq = np.empty((B, T, D), dtype=g.dtype)   # every tile writes its own rows
+        gk, gv = np.zeros((B, T, D), dtype=g.dtype), np.zeros((B, T, D), dtype=g.dtype)
+        gqh, gkh, gvh = heads(gq), heads(gk), heads(gv)
+        for (s, e), p in zip(tiles, probs):
+            gs = go[:, :, s:e]
+            gvh[:, :, :e] += np.matmul(np.swapaxes(p, -1, -2), gs)
+            g_scores = np.matmul(gs, np.swapaxes(vh[:, :, :e], -1, -2))
+            g_scores -= inner[:, :, s:e]
+            g_scores *= p   # now the gradient of the scaled scores
+            np.matmul(g_scores, kh[:, :, :e], out=gqh[:, :, s:e])
+            gkh[:, :, :e] += np.matmul(np.swapaxes(g_scores, -1, -2), qh[:, :, s:e])
         gq *= scale
-        gk = np.matmul(np.swapaxes(g_attn, -1, -2), qh)
         gk *= scale
-
-        def merge(x):
-            return x.transpose(0, 2, 1, 3).reshape(B, T, D)
-
-        return merge(gq), merge(gk), merge(gv)
+        return gq, gk, gv
 
     return _record(out, (q, k, v), bwd)
 

@@ -150,8 +150,9 @@ def ingest(path):
         for j, kc_raw in enumerate(map(str.strip, kc_fields)):
             if not kc_raw:
                 raise DataFormatError(f"line {i + 3}: empty KC set in column {j + 1}")
-            try:
-                kc_set = sorted({int(t) for t in kc_raw.split("_")})
+            try:   # most attempts name one KC, which needs no set
+                kc_set = (sorted({int(t) for t in kc_raw.split("_")}) if "_" in kc_raw
+                          else (int(kc_raw),))
             except ValueError:
                 raise DataFormatError(f"line {i + 3}: bad KC set {kc_raw!r}") from None
             kc_flat.extend(kc_set)

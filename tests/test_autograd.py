@@ -159,18 +159,41 @@ def test_dropout_train_scales_kept_units():
     assert abs((out.data > 0).mean() - 0.75) < 0.02
 
 
-def test_causal_attention_ignores_future():
+def tile_cells(T):
+    """Score cells of the query tiles: ceil(T / n) rows each for n =
+    ceil(T / ATTN_TILE), tile [s, e) against keys [0, e)."""
+    n = -(-T // ag.ATTN_TILE)
+    size = -(-T // n)
+    return sum((min(s + size, T) - s) * min(s + size, T) for s in range(0, T, size))
+
+
+def test_tiles_score_only_the_causal_prefix():
+    assert [tile_cells(T) for T in (3, 64, 65, 130, 200)] == [
+        9, 64 * 64, 33 * 33 + 32 * 65, 44 * 44 + 44 * 88 + 42 * 130, 25000]
+    assert tile_cells(200) == 0.625 * 200 * 200
+
+
+def check_ignores_future(T, pos):
+    def attend(x):
+        # three distinct arrays: numpy multiplies a tile by its own transpose
+        # with a symmetric product whose last bits can differ from gemm's
+        return causal_attention(*(Tensor(x.copy()) for _ in range(3)), n_head=2).data
+
     rng = np.random.default_rng(2)
-    x = rng.normal(size=(1, 6, 8))
-    q = Tensor(x.copy())
-    k = Tensor(x.copy())
-    v = Tensor(x.copy())
-    base = causal_attention(q, k, v, n_head=2).data.copy()
-    x2 = x.copy()
-    x2[0, 4] += 10.0  # perturb position 4; outputs at 0..3 must not move
-    pert = causal_attention(Tensor(x2), Tensor(x2), Tensor(x2), n_head=2).data
-    np.testing.assert_array_equal(base[0, :4], pert[0, :4])
-    assert np.abs(base[0, 4:] - pert[0, 4:]).max() > 0
+    x = rng.normal(size=(1, T, 8))
+    base = attend(x)
+    x[0, pos] += 10.0  # perturb one position; outputs before it must not move
+    pert = attend(x)
+    np.testing.assert_array_equal(base[0, :pos], pert[0, :pos])
+    assert np.abs(base[0, pos:] - pert[0, pos:]).max(axis=-1).min() > 0
+
+
+def test_causal_attention_ignores_future():
+    check_ignores_future(6, 4)
+
+
+def test_causal_attention_ignores_future_inside_a_middle_tile():
+    check_ignores_future(200, 120)   # 4 tiles of 50; step 120 is in the third
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +446,8 @@ def test_tape_keeps_an_input_only_if_its_backward_reads_it(op):
     assert grads[leaf].shape == leaf.shape and np.abs(grads[leaf]).sum() > 0
 
 
-def test_a_recorded_forward_retains_only_the_arrays_its_backward_reads():
-    B, T, d, H, blocks = 8, 64, 64, 2, 4
+def check_retained_bytes(T):
+    B, d, H, blocks = 8, 64, 2, 4
     vocab = tiny_vocab()
     model = KTModel.build(tiny_config(vocab, n_layers=blocks, d_model=d, n_head=H, d_ff=d,
                                       max_seq_len=T), vocab, seed=0, dtype=np.float32)
@@ -447,14 +470,41 @@ def test_a_recorded_forward_retains_only_the_arrays_its_backward_reads():
     assert len(tape._nodes) == 101 and loss.node is tape._nodes[-1]   # 100 + the loss
     # float32 [B, T, d] arrays read by each block's backward: both layer norms'
     # normalized inputs, their outputs (read by the weight gradients), q, k, v
-    # and the attention output; then the sigmoid output, the [B, H, T, T]
+    # and the attention output; then the sigmoid output, the attention tiles'
     # probabilities and the two one-byte dropout masks. After the blocks: the
     # final layer norm's normalized input, the head's input and its sigmoid.
     cell = B * T * d
-    per_block = 8 * 4 * cell + 4 * cell + 4 * B * H * T * T + 2 * cell
+    per_block = 8 * 4 * cell + 4 * cell + 4 * B * H * tile_cells(T) + 2 * cell
     listed = blocks * per_block + 3 * 4 * cell
     # the rest is [B, T]-sized arrays, ids, weights and ~100 nodes' objects
     assert retained < 1.05 * listed, (retained, listed)
+
+
+def test_a_recorded_forward_retains_only_the_arrays_its_backward_reads():
+    check_retained_bytes(64)   # one tile: the probabilities are T * T cells
+
+
+def test_a_recorded_forward_retains_tile_probabilities_only():
+    check_retained_bytes(200)   # 4 tiles: 62.5 % of T * T cells
+
+
+def test_attention_backward_builds_no_full_score_array():
+    B, T, D, H = 2, 200, 8, 2
+    rng = np.random.default_rng(4)
+    q, k, v = (Tensor(rng.normal(size=(B, T, D)).astype(np.float32), requires_grad=True)
+               for _ in range(3))
+    with Tape() as tape:
+        loss = scalarize(causal_attention(q, k, v, n_head=H))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # the largest temporary is one tile's [B, H, 50, 200] score gradient
+    assert peak < 4 * B * H * T * T, peak
 
 
 # ---------------------------------------------------------------------------
@@ -536,16 +586,24 @@ def test_grad_layer_norm():
     check_op_grads(lambda t: scalarize(sigmoid(layer_norm(t["x"], t["g"], t["b"]))), arrays)
 
 
-def test_grad_causal_attention():
+def check_attention_grads(T):
     rng = np.random.default_rng(7)
     arrays = {
-        "q": rng.normal(size=(2, 5, 6)),
-        "k": rng.normal(size=(2, 5, 6)),
-        "v": rng.normal(size=(2, 5, 6)),
+        "q": rng.normal(size=(2, T, 6)),
+        "k": rng.normal(size=(2, T, 6)),
+        "v": rng.normal(size=(2, T, 6)),
     }
     check_op_grads(
         lambda t: scalarize(sigmoid(causal_attention(t["q"], t["k"], t["v"], n_head=2))),
         arrays)
+
+
+def test_grad_causal_attention():
+    check_attention_grads(5)
+
+
+def test_grad_causal_attention_over_uneven_tiles():
+    check_attention_grads(130)   # 3 tiles: 44, 44 and a last one of 42
 
 
 def test_grad_mean_over_axis():

@@ -181,6 +181,35 @@ def test_ingest_inverts_write_blocks(seqs):
         assert ingest(path) == seqs
 
 
+def ingest_outcome(kc_line):
+    """The sequences, or the error, of a three-attempt block with this KC line."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "kc.txt"
+        path.write_text(BLOCK.replace("2_3,4,2", kc_line))
+        try:
+            return ingest(path)
+        except DataFormatError as err:
+            return str(err)
+
+
+# any KC token text: digits, signs, other Unicode digits, exponents, letters,
+# huge values; no separators, so each draw is one field
+KC_TOKENS = st.one_of(st.text("0123456789-+\u0663ex", min_size=1, max_size=6),
+                      st.integers(-2**64, 2**64).map(str))
+
+
+@settings(max_examples=150, deadline=None)
+@given(KC_TOKENS)
+def test_a_one_kc_field_parses_like_the_same_kc_twice(token):
+    # a field without "_" takes ingest's one-KC path, "t_t" the set path:
+    # both give the same sequences or the same message for the same field
+    doubled = f"{token}_{token}"
+    expected = ingest_outcome(f"2_3,{doubled},2")
+    if isinstance(expected, str):
+        expected = expected.replace(repr(doubled), repr(token))
+    assert ingest_outcome(f"2_3,{token},2") == expected
+
+
 # ---------------------------------------------------------------------------
 # preprocessing protocol
 

@@ -310,12 +310,31 @@ def test_train_forward_requires_rng_for_dropout():
 # independent straight-line oracle
 
 
-def test_forward_matches_scalar_loop_oracle():
-    model, vocab = build_tiny(seed=3, n_layers=2)
-    batch = pack_segments(hand_sequences(), vocab, 0, dtype=model.dtype)
+def long_sequence(n):
+    rng = np.random.default_rng(n)
+    return seq_of("long", [(int(rng.integers(12)), tuple(sorted({int(rng.integers(6)),
+                                                                 int(rng.integers(6))})),
+                            int(rng.integers(2)), 60 * t) for t in range(n)])
+
+
+def check_matches_scalar_loop_oracle(segments, max_seq_len=16, tol=1e-6):
+    model, vocab = build_tiny(seed=3, n_layers=2, max_seq_len=max_seq_len)
+    batch = pack_segments(segments, vocab, 0, dtype=model.dtype)
     fast = model.predict_batch(batch)
     slow = oracle_forward(model, batch)
-    assert np.abs(fast - slow).max() < 1e-6
+    assert np.abs(fast - slow).max() < tol
+
+
+def test_forward_matches_scalar_loop_oracle():
+    check_matches_scalar_loop_oracle(hand_sequences())
+
+
+def test_forward_matches_scalar_loop_oracle_past_one_tile():
+    # 130 steps run as 3 attention tiles (44, 44, 42); the short ones are padded.
+    # The small initial weights keep the predictions close (standard deviation
+    # 1e-5), so only a float64-tight bound tells a misplaced mask apart: one on
+    # the wrong block of each tile moved them by 1.4e-7
+    check_matches_scalar_loop_oracle(hand_sequences() + [long_sequence(130)], 130, tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
