@@ -9,8 +9,14 @@ and replays the tape once per backward pass (:meth:`Tape.backward`). A
 tape node keeps only the arrays its backward reads, never an input
 ``Tensor``, so an activation no backward needs is freed as soon as the
 forward drops it; gradients are routed by the node that produced each
-input. A test fails if any public function here goes unused by a gated
-training step, so dead ops do not accumulate. Gates are plain all-ones
+input. Causal attention runs in query tiles of at most ``ATTN_TILE``
+rows: each tile scores only its causal key prefix, in the forward and
+in the backward, so neither pass builds a [batch, heads, T, T] array
+and the tape keeps only the tiles' probabilities. This is the tiling of
+FlashAttention (Dao et al. 2022) over queries instead of keys, so each
+tile's plain softmax is exact and needs no online rescaling. A test
+fails if any public function here goes unused by a gated training step,
+so dead ops do not accumulate. Gates are plain all-ones
 leaf tensors multiplied into a layer's output, so their gradients can be
 read off ``Tensor.grad`` without ever being applied as an update.
 
@@ -465,7 +471,8 @@ def causal_attention(q, k, v, n_head):
     dh = D // n_head
     # a float64 scalar would promote float32 scores to float64
     scale = q.dtype.type(1.0 / np.sqrt(dh))
-    size = -(-T // -(-T // ATTN_TILE))   # ceil(T / n) rows for n = ceil(T / ATTN_TILE)
+    n_tiles = -(-T // ATTN_TILE)
+    size = -(-T // n_tiles)   # ceil(T / n_tiles) rows, so the tiles are near equal
     tiles = [(s, min(s + size, T)) for s in range(0, T, size)]
     mask = np.triu(np.full((size, size), MASK_FILL, dtype=q.dtype), k=1)
 
