@@ -501,18 +501,23 @@ def causal_attention(q, k, v, n_head):
         go = heads(g)
         # sum_j dP_ij P_ij = go_i . ctx_i, since dP_ij = go_i . v_j; ctx is
         # a view of the output, which the output projection keeps anyway
-        inner = (go * ctx).sum(axis=-1, keepdims=True)
-        gq = np.empty((B, T, D), dtype=g.dtype)   # every tile writes its own rows
-        gk, gv = np.zeros((B, T, D), dtype=g.dtype), np.zeros((B, T, D), dtype=g.dtype)
+        inner = np.einsum("bhtd,bhtd->bht", go, ctx)[..., None]
+        gq, gk, gv = (np.empty((B, T, D), dtype=g.dtype) for _ in range(3))
         gqh, gkh, gvh = heads(gq), heads(gk), heads(gv)
-        for (s, e), p in zip(tiles, probs):
+        # last tile first: it reaches every key, so it sets gk and gv, and
+        # each earlier tile adds into its key prefix
+        for (s, e), p in reversed(list(zip(tiles, probs))):
             gs = go[:, :, s:e]
-            gvh[:, :, :e] += np.matmul(np.swapaxes(p, -1, -2), gs)
             g_scores = np.matmul(gs, np.swapaxes(vh[:, :, :e], -1, -2))
             g_scores -= inner[:, :, s:e]
             g_scores *= p   # now the gradient of the scaled scores
             np.matmul(g_scores, kh[:, :, :e], out=gqh[:, :, s:e])
-            gkh[:, :, :e] += np.matmul(np.swapaxes(g_scores, -1, -2), qh[:, :, s:e])
+            if e == T:
+                np.matmul(np.swapaxes(p, -1, -2), gs, out=gvh)
+                np.matmul(np.swapaxes(g_scores, -1, -2), qh[:, :, s:e], out=gkh)
+            else:
+                gvh[:, :, :e] += np.matmul(np.swapaxes(p, -1, -2), gs)
+                gkh[:, :, :e] += np.matmul(np.swapaxes(g_scores, -1, -2), qh[:, :, s:e])
         gq *= scale
         gk *= scale
         return gq, gk, gv
