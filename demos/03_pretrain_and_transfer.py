@@ -43,7 +43,7 @@ low = make("low", 2, 80, 200, seed=3)
 vocab = build_vocab([d.spec for d in rich],
                     {d.spec.name: (d.n_questions, d.n_kcs) for d in rich})
 config = ModelConfig(n_layers=2, d_model=32, n_head=4, d_ff=64,
-                     dropout=0.1).sized_for(vocab)
+                     dropout=0.1)
 model = KTModel.build(config, vocab, seed=0)
 print(f"model: {config.n_layers} blocks, d_model {config.d_model}, "
       f"{model.n_params} parameters")
@@ -55,7 +55,7 @@ print(f"  best val AUC {pre.metadata['best_val_auc']:.4f} "
       f"at epoch {pre.metadata['best_epoch']}")
 
 adapted = zero_shot_adapt(pre.build_model(), "low", low.n_questions, low.n_kcs, seed=9)
-adapted_ckpt = Checkpoint.from_model(adapted, [d.spec for d in rich] + [low.spec], {})
+adapted_ckpt = Checkpoint.from_model(adapted, {})
 print(f"zero-shot test AUC on the unseen dataset: {test_auc(adapted_ckpt, low):.4f}")
 
 ft_cfg = TrainConfig(max_epochs=30, patience=5, batch_size=64, seed=4)
@@ -66,7 +66,7 @@ low_vocab = build_vocab([DatasetSpec("low", 0)], {"low": (low.n_questions, low.n
 low_alone = PreparedDataset(DatasetSpec("low", 0), low.splits, low.n_questions, low.n_kcs)
 scratch_model = KTModel.build(
     ModelConfig(n_layers=2, d_model=32, n_head=4, d_ff=64,
-                dropout=0.1).sized_for(low_vocab), low_vocab, seed=4)
+                dropout=0.1), low_vocab, seed=4)
 scratch = fit(scratch_model, [low_alone], ft_cfg, stage="scratch")
 print(f"from-scratch test AUC: {test_auc(scratch, low_alone):.4f}")
 print("\n(pre-training the sequence dynamics is what transfers: the new "

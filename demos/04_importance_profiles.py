@@ -34,7 +34,7 @@ low = make("low", 1, 60, seed=2)
 
 vocab = build_vocab([rich.spec], {"rich": (60, 8)})
 model = KTModel.build(ModelConfig(n_layers=2, d_model=16, n_head=2, d_ff=32,
-                                  dropout=0.1).sized_for(vocab), vocab, seed=0)
+                                  dropout=0.1), vocab, seed=0)
 pre = fit(model, [rich], TrainConfig(max_epochs=4, patience=4, batch_size=64, seed=0),
           stage="pretrain")
 
@@ -48,7 +48,7 @@ for (block, kind), imp in sorted(profile.layers.items()):
 profile.save("/tmp/low-profile.json")
 print("saved to /tmp/low-profile.json")
 
-ckpt = Checkpoint.from_model(adapted, [rich.spec, low.spec], {})
+ckpt = Checkpoint.from_model(adapted, {})
 cfg = TrainConfig(max_epochs=3, patience=10, batch_size=32, seed=7)
 
 plain = fit(ckpt.build_model(), [low], cfg, stage="finetune")

@@ -57,10 +57,10 @@ class Tensor:
     ``grad`` is populated by :meth:`Tape.backward` for leaf tensors
     (parameters and gates) and accumulates across repeated backward calls
     until :meth:`zero_grad`. ``node`` is the tape node that produced a
-    non-leaf tensor.
+    non-leaf tensor; a leaf has none.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "is_leaf", "name", "node")
+    __slots__ = ("data", "requires_grad", "grad", "name", "node")
 
     def __init__(self, data, requires_grad=False, name=None, dtype=None):
         arr = np.asarray(data)
@@ -71,9 +71,12 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self.is_leaf = True
         self.name = name
         self.node = None
+
+    @property
+    def is_leaf(self):
+        return self.node is None
 
     @property
     def shape(self):
@@ -212,13 +215,12 @@ def _record(out, inputs, bwd):
     for t in inputs:
         if not t.requires_grad:
             sources.append(None)
-        elif t.is_leaf:
+        elif t.node is None:
             tape._register_leaf(t)
             sources.append(t)
         else:
             sources.append(t.node)
     out.requires_grad = True
-    out.is_leaf = False
     out.node = _Node(tuple(sources), bwd)
     tape._nodes.append(out.node)
     return out

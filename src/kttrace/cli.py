@@ -206,7 +206,7 @@ class ExperimentConfig:
     def train_config(self, stage):
         return TrainConfig(seed=stage_seed(self.seed, stage), **self.train_section)
 
-    def model_config(self, vocab):
+    def model_config(self):
         section = dict(self.model_section)
         if "preset" in section:
             preset = section.pop("preset")
@@ -216,7 +216,6 @@ class ExperimentConfig:
                 if key not in section:
                     raise UsageError(f"config.model needs {key!r} (or a preset)")
             cfg = ModelConfig(**section)
-        cfg = cfg.sized_for(vocab)
         cfg.validate()
         return cfg
 
@@ -266,7 +265,7 @@ def read_prepared(cfg, name, splits):
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
     parsed = Splits(**{split: ingest(d / f"{split}.txt") if split in splits else []
                        for split in ("train", "valid", "test")})
-    spec = DatasetSpec(meta["name"], meta["dataset_index"], str(d))
+    spec = DatasetSpec(meta["name"], meta["dataset_index"])
     return PreparedDataset(spec=spec, splits=parsed,
                            n_questions=meta["n_questions"], n_kcs=meta["n_kcs"])
 
@@ -358,8 +357,7 @@ def cmd_pretrain(cfg, args):
         raise UsageError("no datasets with role 'pretrain' in config")
     vocab = build_vocab([d.spec for d in datasets],
                         {d.spec.name: (d.n_questions, d.n_kcs) for d in datasets})
-    model_cfg = cfg.model_config(vocab)
-    model = KTModel.build(model_cfg, vocab, seed=stage_seed(cfg.seed, "init"))
+    model = KTModel.build(cfg.model_config(), vocab, seed=stage_seed(cfg.seed, "init"))
     logger.info("built model: %d parameters, %d datasets", model.n_params,
                 vocab.n_datasets)
     ckpt = fit(model, datasets, cfg.train_config("pretrain"), stage="pretrain")

@@ -63,11 +63,10 @@ class StudentSequence:
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """Identity of one dataset: its name, embedding-table slot, and file."""
+    """Identity of one dataset: its name and embedding-table slot, not its files."""
 
     name: str
     dataset_index: int
-    path: str = ""
 
 
 @dataclass
@@ -279,6 +278,15 @@ class GlobalVocab:
 
     def __init__(self, entries):
         # entries: list of (name, dataset_index, n_questions, n_kcs)
+        for name, *values in entries:
+            if not isinstance(name, str):
+                raise ValueError(f"dataset name must be a str, got {name!r}")
+            for field_name, value in zip(("dataset_index", "n_questions", "n_kcs"), values):
+                # the counts size the embedding tables; bool is an int
+                # subclass, but no count is a flag
+                if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                    raise ValueError(f"dataset {name!r}: {field_name} must be an int >= 0, "
+                                     f"got {value!r}")
         indexes = [e[1] for e in entries]
         if sorted(indexes) != list(range(len(entries))):
             raise ValueError(f"dataset_index values must be exactly 0..{len(entries) - 1}, "

@@ -15,7 +15,7 @@ feed-forward expansion, feed-forward projection) for importance probing.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,19 +41,13 @@ class ModelConfig:
     d_ff: int
     dropout: float = 0.1
     max_seq_len: int = 200
-    n_questions: int = 0
-    n_kcs: int = 0
-    n_datasets: int = 0
 
     def validate(self):
-        # the counts stay 0 until sized_for a vocabulary; bool is an int
-        # subclass, but no size is a flag
-        for name, least in (("n_layers", 1), ("d_model", 1), ("n_head", 1), ("d_ff", 1),
-                            ("max_seq_len", 1), ("n_questions", 0), ("n_kcs", 0),
-                            ("n_datasets", 0)):
+        # bool is an int subclass, but no size is a flag
+        for name in ("n_layers", "d_model", "n_head", "d_ff", "max_seq_len"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
         if self.d_model % self.n_head != 0:
             raise ValueError(
                 f"d_model {self.d_model} must be divisible by n_head {self.n_head}")
@@ -68,18 +62,17 @@ class ModelConfig:
         return cls(n_layers=n_layers, d_model=d_model, n_head=n_head, d_ff=d_ff,
                    **overrides)
 
-    def sized_for(self, vocab):
-        return replace(self, n_questions=vocab.total_questions,
-                       n_kcs=vocab.total_kcs, n_datasets=vocab.n_datasets)
-
     def to_json(self):
         return {k: getattr(self, k) for k in (
-            "n_layers", "d_model", "n_head", "d_ff", "dropout", "max_seq_len",
-            "n_questions", "n_kcs", "n_datasets")}
+            "n_layers", "d_model", "n_head", "d_ff", "dropout", "max_seq_len")}
 
     @classmethod
     def from_json(cls, obj):
-        return cls(**obj)
+        if not isinstance(obj, dict):
+            raise TypeError(f"model config must be an object, got {type(obj).__name__}")
+        # older headers also copied the vocabulary's three counts here
+        return cls(**{k: v for k, v in obj.items()
+                      if k not in ("n_questions", "n_kcs", "n_datasets")})
 
 
 def _parameter_specs(config, vocab):
@@ -141,13 +134,6 @@ class KTModel:
     @classmethod
     def build(cls, config, vocab, seed, dtype=np.float32):
         """Initialize all weights from N(0, 0.02); biases zero, norm gains one."""
-        config = config.sized_for(vocab) if config.n_questions == 0 else config
-        if (config.n_questions, config.n_kcs, config.n_datasets) != (
-                vocab.total_questions, vocab.total_kcs, vocab.n_datasets):
-            raise ValueError(
-                f"config sizes ({config.n_questions}, {config.n_kcs}, {config.n_datasets}) "
-                f"do not match vocab ({vocab.total_questions}, {vocab.total_kcs}, "
-                f"{vocab.n_datasets})")
         rng = np.random.default_rng(seed)
         params = OrderedDict()
         for name, shape, kind in _parameter_specs(config, vocab):
@@ -347,6 +333,4 @@ def zero_shot_adapt(model, name, n_questions, n_kcs, seed, noise_std=0.01):
             arrays[pname] = np.concatenate([t.data, row], axis=0)
         else:
             arrays[pname] = t.data
-    config = replace(model.config, n_questions=new_vocab.total_questions,
-                     n_kcs=new_vocab.total_kcs, n_datasets=new_vocab.n_datasets)
-    return KTModel.from_arrays(config, new_vocab, arrays, dtype=dtype)
+    return KTModel.from_arrays(model.config, new_vocab, arrays, dtype=dtype)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autograd import NumericalError
-from .data import DatasetSpec, GlobalVocab, mix_batches
+from .data import GlobalVocab, mix_batches
 from .importance import freeze_masks, modulate
 from .metrics import evaluate
 from .model import KTModel, ModelConfig, _parameter_specs
@@ -194,15 +194,14 @@ class EarlyStopper:
 class Checkpoint:
     config: ModelConfig
     vocab: GlobalVocab
-    dataset_specs: list
     params: OrderedDict
     metadata: dict = field(default_factory=dict)
 
     @classmethod
-    def from_model(cls, model, dataset_specs, metadata):
+    def from_model(cls, model, metadata):
         params = OrderedDict((n, t.data.astype("<f4"))
                              for n, t in model.parameters().items())
-        return cls(model.config, model.vocab, list(dataset_specs), params, dict(metadata))
+        return cls(model.config, model.vocab, params, dict(metadata))
 
     def build_model(self, dtype=np.float32):
         return KTModel.from_arrays(self.config, self.vocab, self.params, dtype=dtype)
@@ -210,7 +209,13 @@ class Checkpoint:
 
 def save_checkpoint(ckpt, path):
     """Binary layout: magic, u32 version, u64 header length, JSON header,
-    raw little-endian float32 payload, SHA-256 digest of header+payload."""
+    raw little-endian float32 payload, SHA-256 digest of header+payload.
+
+    The header holds ``config`` (no table sizes), ``vocab`` (whose counts
+    size the tables), ``metadata`` and ``manifest`` (each array's name,
+    shape and offset). It names no file, so the bytes do not depend on
+    where the model was trained or saved.
+    """
     manifest = []
     offset = 0
     chunks = []
@@ -222,8 +227,6 @@ def save_checkpoint(ckpt, path):
     header_obj = {
         "config": ckpt.config.to_json(),
         "vocab": ckpt.vocab.to_json(),
-        "dataset_specs": [{"name": s.name, "dataset_index": s.dataset_index,
-                           "path": s.path} for s in ckpt.dataset_specs],
         "metadata": ckpt.metadata,
         "manifest": manifest,
     }
@@ -265,7 +268,7 @@ def load_checkpoint(path):
     try:
         manifest = obj["manifest"]
         sizes = [4 * int(np.prod(m["shape"])) for m in manifest]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise _malformed(path, exc) from None
     payload_len = sum(sizes)
     expected = 16 + header_len + payload_len + _DIGEST_LEN
@@ -282,8 +285,6 @@ def load_checkpoint(path):
         config = ModelConfig.from_json(obj["config"])
         config.validate()
         vocab = GlobalVocab.from_json(obj["vocab"])
-        dataset_specs = [DatasetSpec(d["name"], d["dataset_index"], d["path"])
-                         for d in obj["dataset_specs"]]
         metadata = dict(obj["metadata"])
         declared, offset = [], 0
         for name, shape, _ in _parameter_specs(config, vocab):
@@ -303,7 +304,7 @@ def load_checkpoint(path):
     for m, size in zip(manifest, sizes):
         raw = payload[m["offset"]:m["offset"] + size]
         params[m["name"]] = np.frombuffer(raw, dtype="<f4").reshape(m["shape"]).copy()
-    return Checkpoint(config, vocab, dataset_specs, params, metadata)
+    return Checkpoint(config, vocab, params, metadata)
 
 
 def _malformed(path, exc):
@@ -387,5 +388,5 @@ def fit(model, datasets, config, profile=None, stage="train"):
         "val_auc_history": val_history,
         "final_train_loss": history[-1] if history else None,
     }
-    return Checkpoint.from_model(model, [d.spec for d in datasets], metadata)
+    return Checkpoint.from_model(model, metadata)
 

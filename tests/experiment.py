@@ -75,7 +75,7 @@ def run_transfer_experiment(draws=(1, 2, 3), n_rich_students=2000,
     vocab = build_vocab([d.spec for d in rich],
                         {d.spec.name: (d.n_questions, d.n_kcs) for d in rich})
     model_cfg = ModelConfig(n_layers=n_layers, d_model=d_model, n_head=4,
-                            d_ff=2 * d_model, dropout=0.1).sized_for(vocab)
+                            d_ff=2 * d_model, dropout=0.1)
     low_only_vocab = build_vocab([DatasetSpec("low", 0)],
                                  {"low": (low.n_questions, low.n_kcs)})
     low_only = PreparedDataset(spec=DatasetSpec("low", 0), splits=low.splits,
@@ -94,8 +94,7 @@ def run_transfer_experiment(draws=(1, 2, 3), n_rich_students=2000,
 
         adapted = zero_shot_adapt(pre_ckpt.build_model(), "low", low.n_questions,
                                   low.n_kcs, seed=2)
-        adapted_ckpt = Checkpoint.from_model(adapted, [d.spec for d in rich] + [low.spec],
-                                             pre_ckpt.metadata)
+        adapted_ckpt = Checkpoint.from_model(adapted, pre_ckpt.metadata)
         profile = compute_importance(adapted, low, batch_size=16)
 
         seed = draw - 1
@@ -109,7 +108,7 @@ def run_transfer_experiment(draws=(1, 2, 3), n_rich_students=2000,
                           stage="finetune"), low)
 
         scratch_cfg = ModelConfig(n_layers=n_layers, d_model=d_model, n_head=4,
-                                  d_ff=2 * d_model, dropout=0.1).sized_for(low_only_vocab)
+                                  d_ff=2 * d_model, dropout=0.1)
         scratch_model = KTModel.build(scratch_cfg, low_only_vocab, seed=seed + 50)
         result.record("scratch", fit(scratch_model, [low_only], ft_cfg, stage="scratch"),
                       low_only)

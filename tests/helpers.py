@@ -1,5 +1,9 @@
 """Shared numerical test utilities and tiny fixtures."""
 
+import hashlib
+import json
+import struct
+
 import numpy as np
 
 from kttrace.data import DatasetSpec, StudentSequence, build_vocab
@@ -11,14 +15,14 @@ def tiny_vocab(nq=12, nk=6, n_datasets=2):
     return build_vocab(specs, {f"d{i}": (nq, nk) for i in range(n_datasets)})
 
 
-def tiny_config(vocab, n_layers=1, d_model=4, n_head=2, d_ff=6, max_seq_len=16):
+def tiny_config(n_layers=1, d_model=4, n_head=2, d_ff=6, max_seq_len=16):
     return ModelConfig(n_layers=n_layers, d_model=d_model, n_head=n_head,
-                       d_ff=d_ff, dropout=0.0, max_seq_len=max_seq_len).sized_for(vocab)
+                       d_ff=d_ff, dropout=0.0, max_seq_len=max_seq_len)
 
 
 def build_tiny(seed=0, dtype=np.float64, **kw):
     vocab = tiny_vocab()
-    config = tiny_config(vocab, **kw)
+    config = tiny_config(**kw)
     return KTModel.build(config, vocab, seed=seed, dtype=dtype), vocab
 
 
@@ -79,3 +83,16 @@ def max_rel_err(a, b, floor=1e-6):
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
+
+
+def checkpoint_bytes(header_obj, payload=b""):
+    """A checkpoint file of ``header_obj`` and ``payload`` with a valid digest."""
+    header = json.dumps(header_obj, sort_keys=True).encode("utf-8")
+    return (b"LRKT" + struct.pack("<IQ", 1, len(header)) + header + payload
+            + hashlib.sha256(header + payload).digest())
+
+
+def split_checkpoint(blob):
+    """The header object and the payload of a checkpoint file's bytes."""
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    return json.loads(blob[16:16 + header_len]), blob[16 + header_len:-32]

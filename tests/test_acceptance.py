@@ -60,7 +60,7 @@ def criterion(number, label):
 def fixture_model(seed, dtype=np.float64, n_layers=2, d_model=8, n_head=2, d_ff=12):
     vocab = tiny_vocab()
     config = ModelConfig(n_layers=n_layers, d_model=d_model, n_head=n_head,
-                         d_ff=d_ff, dropout=0.0, max_seq_len=8).sized_for(vocab)
+                         d_ff=d_ff, dropout=0.0, max_seq_len=8)
     return KTModel.build(config, vocab, seed=seed, dtype=dtype), vocab
 
 
@@ -78,7 +78,7 @@ def training_model(prepared, seed=0):
     vocab = build_vocab([prepared.spec],
                         {prepared.spec.name: (prepared.n_questions, prepared.n_kcs)})
     config = ModelConfig(n_layers=1, d_model=8, n_head=2, d_ff=8, dropout=0.1,
-                         max_seq_len=32).sized_for(vocab)
+                         max_seq_len=32)
     return KTModel.build(config, vocab, seed=seed)
 
 
@@ -278,7 +278,7 @@ def test_criterion_11_architecture_grid_fidelity():
         small = tiny_vocab(nq=100, nk=20, n_datasets=3)
         built_counts = []
         for name, row in grid.items():
-            cfg = ModelConfig.from_preset(name).sized_for(small)
+            cfg = ModelConfig.from_preset(name)
             assert (cfg.n_layers, cfg.d_model, cfg.n_head, cfg.d_ff) == row
             model = KTModel.build(cfg, small, seed=0)
             assert model.n_params == parameter_count(cfg, small)
@@ -292,7 +292,7 @@ def test_criterion_11_architecture_grid_fidelity():
         union = build_vocab(
             [DatasetSpec("bd", 0), DatasetSpec("xes", 1), DatasetSpec("ednet", 2)],
             {"bd": (207856, 493), "xes": (7652, 865), "ednet": (12235, 188)})
-        counts = [parameter_count(ModelConfig.from_preset(n).sized_for(union), union)
+        counts = [parameter_count(ModelConfig.from_preset(n), union)
                   for n in grid]
         assert counts == sorted(counts) and len(set(counts)) == 4
         target = 2.21e8
@@ -305,7 +305,7 @@ def test_criterion_12_checkpoint_round_trip_and_errors(tmp_path):
     with criterion(12, "checkpoint round trip and the three distinct errors"):
         prepared = tiny_prepared()
         model = training_model(prepared)
-        ckpt = Checkpoint.from_model(model, [prepared.spec], {"seed": 0})
+        ckpt = Checkpoint.from_model(model, {"seed": 0})
         path = tmp_path / "m.lrkt"
         save_checkpoint(ckpt, path)
         back = load_checkpoint(path)

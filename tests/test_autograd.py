@@ -449,7 +449,7 @@ def test_tape_keeps_an_input_only_if_its_backward_reads_it(op):
 def check_retained_bytes(T):
     B, d, H, blocks = 8, 64, 2, 4
     vocab = tiny_vocab()
-    model = KTModel.build(tiny_config(vocab, n_layers=blocks, d_model=d, n_head=H, d_ff=d,
+    model = KTModel.build(tiny_config(n_layers=blocks, d_model=d, n_head=H, d_ff=d,
                                       max_seq_len=T), vocab, seed=0, dtype=np.float32)
     rng = np.random.default_rng(3)
     segments = [seq_of(f"s{i}", [(int(rng.integers(12)), (int(rng.integers(6)), 5),

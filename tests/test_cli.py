@@ -1,11 +1,14 @@
+import functools
 import hashlib
 import json
 import logging
+import math
+import operator
 import os
 import shutil
-import struct
 import subprocess
 import sys
+import tempfile
 import warnings
 from collections import OrderedDict
 from pathlib import Path
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 
 import kttrace
 from kttrace.cli import ExperimentConfig, UsageError, main
-from kttrace.data import DatasetSpec, GlobalVocab, build_vocab
+from kttrace.data import DatasetSpec, build_vocab
 from kttrace.model import KTModel, ModelConfig
 from kttrace.train import (
     Checkpoint,
@@ -26,6 +29,8 @@ from kttrace.train import (
     save_checkpoint,
     stage_seed,
 )
+
+from helpers import build_tiny, checkpoint_bytes, split_checkpoint
 
 
 def run_cli(capsys, *argv):
@@ -133,7 +138,7 @@ def test_any_model_or_train_section_is_a_config_or_a_typed_error(model, train):
     except UsageError:
         return
     try:
-        cfg.model_config(GlobalVocab([("a", 0, 5, 3)]))
+        cfg.model_config()
     except (UsageError, ValueError):
         pass
     with warnings.catch_warnings():
@@ -350,19 +355,12 @@ def test_token_beyond_int64_is_data_error(tmp_path, capsys, old, new):
     assert code == 2
 
 
-def _checkpoint_with_header(header_obj):
-    """A checkpoint file with an empty payload and a valid digest."""
-    header = json.dumps(header_obj).encode("utf-8")
-    return (b"LRKT" + struct.pack("<IQ", 1, len(header)) + header
-            + hashlib.sha256(header).digest())
-
-
 def _checkpoint_with_key_biases(tmp_path):
     """A checkpoint of the layout that listed an attn.bk array after each
     attn.wk, with a valid digest; the same model without them loads."""
     vocab = build_vocab([DatasetSpec("low", 0)], {"low": (3, 2)})
-    config = ModelConfig(n_layers=2, d_model=4, n_head=2, d_ff=4).sized_for(vocab)
-    ckpt = Checkpoint.from_model(KTModel.build(config, vocab, seed=0), [], {})
+    config = ModelConfig(n_layers=2, d_model=4, n_head=2, d_ff=4)
+    ckpt = Checkpoint.from_model(KTModel.build(config, vocab, seed=0), {})
     path = tmp_path / "key-biases.lrkt"
     save_checkpoint(ckpt, path)
     load_checkpoint(path)
@@ -378,23 +376,28 @@ def _checkpoint_with_key_biases(tmp_path):
     return path.read_bytes()
 
 
-def _eval_in_child(config, checkpoint, limit=1 << 30):
-    """``kttrace eval`` in a child process with ``limit`` bytes of address space."""
-    script = ("import resource, sys\n"
+def _limited_child(body, limit=1 << 30):
+    """argv and environment of a Python child that imports kttrace, caps its
+    address space at ``limit`` bytes, then runs ``body``."""
+    script = ("import json, resource, sys\n"
               "from kttrace.cli import main\n"
-              f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
-              f"sys.exit(main(['eval', '--config', {str(config)!r}, "
-              f"'--checkpoint', {str(checkpoint)!r}]))\n")
+              "from kttrace.train import load_checkpoint\n"
+              f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n" + body)
     env = dict(os.environ, PYTHONPATH=str(Path(kttrace.__file__).resolve().parents[1]),
                OPENBLAS_NUM_THREADS="1")
-    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
+    return [sys.executable, "-c", script], env
+
+
+def _eval_in_child(config, checkpoint):
+    """``kttrace eval`` in a child process with a capped address space."""
+    argv, env = _limited_child(f"sys.exit(main(['eval', '--config', {str(config)!r}, "
+                               f"'--checkpoint', {str(checkpoint)!r}]))\n")
+    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
 
 
 def test_corrupt_checkpoint_is_data_error(tmp_path, capsys):
     path = write_config(tmp_path)
-    fields = {"config": {}, "vocab": {"datasets": []}, "dataset_specs": [],
-              "metadata": {}}
+    fields = {"config": {}, "vocab": {"datasets": []}, "metadata": {}}
     sized = dict(fields, manifest=[],
                  vocab={"datasets": [{"name": "low", "dataset_index": 0,
                                       "n_questions": 3, "n_kcs": 2}]})
@@ -403,15 +406,27 @@ def test_corrupt_checkpoint_is_data_error(tmp_path, capsys):
         return dict(sized, config={"n_layers": 1, "d_model": 4, "n_head": 2, "d_ff": 4,
                                    **sizes})
 
+    def counts(**given):
+        (entry,) = sized["vocab"]["datasets"]
+        return dict(model(), vocab={"datasets": [dict(entry, **given)]})
+
     inputs = {
         "bad-magic": b"NOPE" + b"\x00" * 64,
-        "no-manifest": _checkpoint_with_header(fields),
-        "mistyped-shape": _checkpoint_with_header(
+        "no-manifest": checkpoint_bytes(fields),
+        "mistyped-shape": checkpoint_bytes(
             dict(fields, manifest=[{"name": "emb.question", "shape": "x", "offset": 0}])),
-        "no-config": _checkpoint_with_header(dict(_without(fields, "config"), manifest=[])),
-        "manifest-mismatch": _checkpoint_with_header(model()),
-        "zero-heads": _checkpoint_with_header(model(n_head=0)),
-        "huge-width": _checkpoint_with_header(model(d_model=1e300)),
+        "infinite-shape": checkpoint_bytes(
+            dict(fields, manifest=[{"name": "emb.question", "shape": [math.inf, 4],
+                                    "offset": 0}])),
+        "no-config": checkpoint_bytes(dict(_without(fields, "config"), manifest=[])),
+        "manifest-mismatch": checkpoint_bytes(model()),
+        "zero-heads": checkpoint_bytes(model(n_head=0)),
+        "huge-width": checkpoint_bytes(model(d_model=1e300)),
+        "infinite-questions": checkpoint_bytes(counts(n_questions=math.inf)),
+        "infinite-kcs": checkpoint_bytes(counts(n_kcs=math.inf)),
+        "negative-count": checkpoint_bytes(counts(n_questions=-1)),
+        "fractional-count": checkpoint_bytes(counts(n_kcs=2.5)),
+        "true-count": checkpoint_bytes(counts(n_questions=True)),
         "key-biases": _checkpoint_with_key_biases(tmp_path),
     }
     for case, blob in inputs.items():
@@ -424,10 +439,105 @@ def test_corrupt_checkpoint_is_data_error(tmp_path, capsys):
     # listing 10**12 layers' parameters would exhaust memory; the child's
     # address-space limit turns that into a MemoryError instead
     bad = tmp_path / "many-layers.lrkt"
-    bad.write_bytes(_checkpoint_with_header(model(n_layers=10 ** 12)))
+    bad.write_bytes(checkpoint_bytes(model(n_layers=10 ** 12)))
     child = _eval_in_child(path, bad)
     assert child.returncode == 2, child.stderr[-2000:]
     assert "Traceback" not in child.stderr
+
+
+def _tiny_checkpoint_bytes():
+    ckpt = Checkpoint.from_model(build_tiny(dtype=np.float32)[0], {"stage": "test"})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.lrkt"
+        save_checkpoint(ckpt, path)
+        return path.read_bytes()
+
+
+def _json_paths(obj, prefix=()):
+    """The key path of every value nested in ``obj``."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) \
+        if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+TINY_HEADER, TINY_PAYLOAD = split_checkpoint(_tiny_checkpoint_bytes())
+DROP = "<drop the key>"
+HEADER_VALUES = JSON_VALUES | st.sampled_from(
+    [math.nan, math.inf, -math.inf, 10 ** 30, -(2 ** 63), 10 ** 400])
+CHECKPOINT_ERRORS = {"CheckpointFormatError", "CheckpointVersionError",
+                     "CheckpointTruncatedError", "CheckpointDigestError"}
+
+
+@pytest.fixture(scope="module")
+def load_in_child(tmp_path_factory):
+    """Loads checkpoint bytes in one child with a capped address space, since
+    a header may declare any size; returns "loaded" or the exception's type
+    name, and its message."""
+    argv, env = _limited_child(
+        "for line in sys.stdin:\n"
+        "    try:\n"
+        "        load_checkpoint(line.strip()).build_model()\n"
+        "        print(json.dumps(['loaded', '']), flush=True)\n"
+        "    except Exception as exc:\n"
+        "        print(json.dumps([type(exc).__name__, str(exc)]), flush=True)\n")
+    child = subprocess.Popen(argv, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                             text=True)
+    path = tmp_path_factory.mktemp("mutations") / "m.lrkt"
+
+    def load(blob):
+        path.write_bytes(blob)
+        child.stdin.write(f"{path}\n")
+        child.stdin.flush()
+        line = child.stdout.readline()
+        assert line, "the loading child exited"
+        return json.loads(line)
+
+    yield load
+    child.stdin.close()
+    child.wait(timeout=60)
+
+
+@settings(deadline=None, max_examples=1000)
+@example(mutation=(("vocab", "datasets", 0, "n_questions"), math.inf))
+@example(mutation=(("manifest", 0, "shape", 0), math.inf))
+@given(mutation=st.tuples(st.sampled_from(list(_json_paths(TINY_HEADER))),
+                          st.just(DROP) | HEADER_VALUES))
+def test_any_header_mutation_loads_or_raises_a_checkpoint_error(load_in_child, mutation):
+    path, value = mutation
+    header = json.loads(json.dumps(TINY_HEADER))
+    *parents, last = path
+    owner = functools.reduce(operator.getitem, parents, header)
+    if value == DROP:
+        del owner[last]
+    else:
+        owner[last] = value
+    kind, message = load_in_child(checkpoint_bytes(header, TINY_PAYLOAD))
+    assert kind == "loaded" or kind in CHECKPOINT_ERRORS, f"{kind}: {message}"
+
+
+def test_outputs_do_not_depend_on_the_work_directory(tmp_path, capsys):
+    ckpt, tuned = "run/checkpoints/pretrained.lrkt", "run/checkpoints/tuned.lrkt"
+
+    def outputs(root):
+        root.mkdir(parents=True)
+        cfg = str(write_config(root, datasets=PIPELINE_DATASETS))
+        for argv in (["synth", "--dataset", "rich0"], ["synth", "--dataset", "low"],
+                     ["preprocess"], ["pretrain"],
+                     ["importance", "--checkpoint", ckpt, "--dataset", "low"],
+                     ["finetune", "--checkpoint", ckpt, "--dataset", "low",
+                      "--profile", "run/profiles/low.json", "--out", tuned],
+                     ["eval", "--checkpoint", tuned]):
+            code, _ = run_cli(capsys, *argv, "--config", cfg)
+            assert code == 0, argv
+        run = root / "run"
+        return {p.relative_to(run): hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted(run.rglob("*")) if p.is_file()}
+
+    first = outputs(tmp_path / "a")
+    assert {p.suffix for p in first} >= {".lrkt", ".json", ".csv", ".txt"}
+    assert first == outputs(tmp_path / "elsewhere" / "b")
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +576,7 @@ def test_seed_flag_acts_as_the_config_seed(tmp_path, capsys):
             assert code == 0, argv
         files = {p.relative_to(run): p.read_bytes()
                  for p in sorted(run.rglob("*")) if p.is_file()}
-        shutil.rmtree(run)   # the checkpoint header names the prepared path
+        shutil.rmtree(run)   # the second run starts from an empty workdir
         return files
 
     files = outputs(flagged, "--seed", "5")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from kttrace.data import (
     DataFormatError,
     DatasetSpec,
+    GlobalVocab,
     SyntheticConfig,
     build_vocab,
     clean_sequences,
@@ -310,6 +311,16 @@ def test_vocab_rejects_overlapping_index():
     specs = [DatasetSpec("a", 0), DatasetSpec("b", 0)]
     with pytest.raises(ValueError, match="overlapping"):
         build_vocab(specs, {"a": (5, 2), "b": (5, 2)})
+
+
+@pytest.mark.parametrize("entry, field", [
+    (("d", 0, float("inf"), 2), "n_questions"), (("d", 0, 3, -1), "n_kcs"),
+    (("d", 0, 2.5, 2), "n_questions"), (("d", True, 3, 2), "dataset_index"),
+    ((["d"], 0, 3, 2), "name"),
+])
+def test_vocab_rejects_a_size_that_is_not_an_int_at_least_zero(entry, field):
+    with pytest.raises(ValueError, match=field):
+        GlobalVocab([entry])
 
 
 def test_vocab_extension_appends_range():

@@ -18,7 +18,7 @@ from kttrace.model import (
     parameter_count,
     zero_shot_adapt,
 )
-from helpers import build_tiny, hand_sequences, seq_of, tiny_config, tiny_vocab
+from helpers import build_tiny, hand_sequences, seq_of, tiny_vocab
 from oracles import oracle_forward
 
 
@@ -42,7 +42,7 @@ def test_parameter_count_closed_form():
     specs = [DatasetSpec("d0", 0), DatasetSpec("d1", 1)]
     vocab = build_vocab(specs, {"d0": (30, 6), "d1": (20, 4)})
     config = ModelConfig(n_layers=2, d_model=16, n_head=2, d_ff=32,
-                         max_seq_len=200).sized_for(vocab)
+                         max_seq_len=200)
     model = KTModel.build(config, vocab, seed=0)
 
     d, f, L = 16, 32, 200
@@ -60,17 +60,9 @@ def test_parameter_count_closed_form():
 
 def test_parameter_counts_strictly_increase_across_presets():
     vocab = tiny_vocab(nq=500, nk=50, n_datasets=3)
-    counts = [parameter_count(ModelConfig.from_preset(name).sized_for(vocab), vocab)
+    counts = [parameter_count(ModelConfig.from_preset(name), vocab)
               for name in ("base-89M", "base-221M", "base-478M", "base-1.01B")]
     assert counts == sorted(counts) and len(set(counts)) == 4
-
-
-def test_build_checks_vocab_consistency():
-    vocab = tiny_vocab()
-    config = tiny_config(vocab)
-    bad = ModelConfig(**{**config.__dict__, "n_questions": 999})
-    with pytest.raises(ValueError, match="vocab"):
-        KTModel.build(bad, vocab, seed=0)
 
 
 def test_build_is_seed_deterministic():

@@ -31,7 +31,7 @@ from kttrace.train import (
     stage_seed,
 )
 from kttrace.metrics import collect_predictions, auc
-from helpers import build_tiny
+from helpers import build_tiny, checkpoint_bytes, split_checkpoint
 
 
 def make_prepared(name="d0", index=0, n_students=20, seed=0, n_questions=10, n_kcs=4):
@@ -48,7 +48,7 @@ def model_for(datasets, seed=0, d_model=8, n_layers=1, n_head=2, d_ff=8):
     vocab = build_vocab([d.spec for d in datasets],
                         {d.spec.name: (d.n_questions, d.n_kcs) for d in datasets})
     config = ModelConfig(n_layers=n_layers, d_model=d_model, n_head=n_head,
-                         d_ff=d_ff, dropout=0.1, max_seq_len=32).sized_for(vocab)
+                         d_ff=d_ff, dropout=0.1, max_seq_len=32)
     return KTModel.build(config, vocab, seed=seed), vocab
 
 
@@ -134,8 +134,7 @@ def test_stage_seed_is_stable_and_label_sensitive():
 
 def ckpt_roundtrip_fixture(tmp_path, seed=0):
     model, _ = build_tiny(seed=seed, dtype=np.float32)
-    ckpt = Checkpoint.from_model(model, [DatasetSpec("d0", 0), DatasetSpec("d1", 1)],
-                                 {"stage": "test", "seed": seed})
+    ckpt = Checkpoint.from_model(model, {"stage": "test", "seed": seed})
     path = tmp_path / "m.lrkt"
     save_checkpoint(ckpt, path)
     return model, ckpt, path
@@ -146,13 +145,34 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     back = load_checkpoint(path)
     assert back.config == ckpt.config
     assert back.vocab.to_json() == ckpt.vocab.to_json()
-    assert back.dataset_specs == ckpt.dataset_specs
     assert back.metadata == ckpt.metadata
     for name, arr in ckpt.params.items():
         assert back.params[name].tobytes() == arr.tobytes(), name
     rebuilt = back.build_model()
     for name, t in model.parameters().items():
         assert rebuilt.param(name).data.tobytes() == t.data.tobytes()
+
+
+def test_checkpoint_of_the_older_header_layout_loads(tmp_path):
+    # older headers also listed each dataset's prepared directory and copied
+    # the vocabulary's counts into the config
+    _, ckpt, path = ckpt_roundtrip_fixture(tmp_path)
+    current = path.read_bytes()
+    header, payload = split_checkpoint(current)
+    vocab = ckpt.vocab
+    header["dataset_specs"] = [{"name": n, "dataset_index": i, "path": f"/work/prepared/{n}"}
+                               for n, i, _, _ in vocab.entries]
+    header["config"].update(n_questions=vocab.total_questions, n_kcs=vocab.total_kcs,
+                            n_datasets=vocab.n_datasets)
+    path.write_bytes(checkpoint_bytes(header, payload))
+    back = load_checkpoint(path)
+    assert back.config == ckpt.config
+    assert back.vocab.to_json() == ckpt.vocab.to_json()
+    assert back.metadata == ckpt.metadata
+    for name, arr in ckpt.params.items():
+        assert back.params[name].tobytes() == arr.tobytes(), name
+    save_checkpoint(back, path)
+    assert path.read_bytes() == current
 
 
 def test_checkpoint_save_is_deterministic(tmp_path):
@@ -250,7 +270,7 @@ def test_pretrain_mixes_multiple_datasets():
     rich = [make_prepared("d0", 0, seed=0), make_prepared("d1", 1, seed=1)]
     model, _ = model_for(rich)
     ckpt = fit(model, rich, quiet_config(max_epochs=2))
-    assert [s.name for s in ckpt.dataset_specs] == ["d0", "d1"]
+    assert [name for name, *_ in ckpt.vocab.entries] == ["d0", "d1"]
     assert len(ckpt.metadata["val_auc_history"]) == 2
 
 
