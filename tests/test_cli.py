@@ -455,8 +455,12 @@ def _tiny_checkpoint_bytes():
 
 def _json_paths(obj, prefix=()):
     """The key path of every value nested in ``obj``."""
-    items = obj.items() if isinstance(obj, dict) else enumerate(obj) \
-        if isinstance(obj, list) else ()
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
     for key, value in items:
         yield prefix + (key,)
         yield from _json_paths(value, prefix + (key,))
