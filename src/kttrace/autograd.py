@@ -9,12 +9,14 @@ and replays the tape once per backward pass (:meth:`Tape.backward`). A
 tape node keeps only the arrays its backward reads, never an input
 ``Tensor``, so an activation no backward needs is freed as soon as the
 forward drops it; gradients are routed by the node that produced each
-input. Causal attention runs in query tiles of at most ``ATTN_TILE``
-rows: each tile scores only its causal key prefix, in the forward and
-in the backward, so neither pass builds a [batch, heads, T, T] array
-and the tape keeps only the tiles' probabilities. This is the tiling of
-FlashAttention (Dao et al. 2022) over queries instead of keys, so each
-tile's plain softmax is exact and needs no online rescaling. A test
+input. Causal attention keeps each query inside its own segment, so
+segments packed into one row do not see each other, and runs in query
+tiles of at most ``ATTN_TILE`` rows: each tile scores only its causal
+key prefix, in the forward and in the backward, so neither pass builds
+a [batch, heads, T, T] array and the tape keeps only the tiles'
+probabilities. This is the tiling of FlashAttention (Dao et al. 2022)
+over queries instead of keys, so each tile's plain softmax is exact and
+needs no online rescaling. A test
 fails if any public function here goes unused by a gated training step,
 so dead ops do not accumulate. Gates are plain all-ones
 leaf tensors multiplied into a layer's output, so their gradients can be
@@ -449,19 +451,24 @@ def mean_over_axis(x, axis):
     return _record(out, (x,), bwd)
 
 
-def causal_attention(q, k, v, n_head):
-    """Multi-head scaled dot-product attention with a strict causal mask.
+def causal_attention(q, k, v, n_head, starts=None):
+    """Multi-head scaled dot-product attention inside causal segments.
 
-    Inputs are [batch, time, d_model]; position j attends to positions
-    <= j only. The queries are cut into ``ceil(T / ATTN_TILE)`` equal
-    tiles (the last may be shorter). Tile ``[s, e)`` scores only keys
-    ``[0, e)``, its whole causal prefix, so a plain softmax per tile is
-    exact; keys past each query get a large negative constant, added to
-    the tile's diagonal block only, which underflows to exactly zero
-    probability, so gradients through future positions are exactly zero
-    as well. The tape keeps the tiles' probabilities, sum(tile * e)
-    cells instead of T*T (62.5 % at T = 200); the backward walks the same
-    tiles, so no array of [B, H, T, T] cells is ever built.
+    Inputs are [batch, time, d_model]; ``starts`` [batch, time] gives the
+    column where each position's segment begins (all zero by default), and
+    position t attends to keys ``[starts[t], t]`` only, itself included,
+    so several segments can share a row without seeing each other. The
+    queries are cut into ``ceil(T / ATTN_TILE)`` equal tiles (the last may
+    be shorter). Tile ``[s, e)`` scores only keys ``[0, e)``, its whole
+    causal prefix, so a plain softmax per tile is exact. Keys past each
+    query get a large negative constant, added to the tile's diagonal
+    block only; a tile in which some query's segment starts after column
+    0 adds it over all its keys instead, to the keys before that start as
+    well. The constant underflows to exactly zero probability, so
+    gradients through masked keys are exactly zero too. The tape keeps
+    the tiles' probabilities, sum(tile * e) cells instead of T*T (62.5 %
+    at T = 200); the backward walks the same tiles, so no array of
+    [B, H, T, T] cells is ever built.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if not (q.shape == k.shape == v.shape) or q.ndim != 3:
@@ -470,6 +477,9 @@ def causal_attention(q, k, v, n_head):
     B, T, D = q.shape
     if D % n_head != 0:
         raise ShapeError(f"causal_attention: d_model {D} not divisible by n_head {n_head}")
+    if starts is not None and np.shape(starts) != (B, T):
+        raise ShapeError(f"causal_attention: starts {np.shape(starts)} must be [B, T] = "
+                         f"{(B, T)}")
     dh = D // n_head
     # a float64 scalar would promote float32 scores to float64
     scale = q.dtype.type(1.0 / np.sqrt(dh))
@@ -490,7 +500,12 @@ def causal_attention(q, k, v, n_head):
             # a tile's scores become its probabilities in place
             p = np.matmul(qh[:, :, s:e], np.swapaxes(kh[:, :, :e], -1, -2))
             p *= scale
-            p[..., s:] += mask[:e - s, :e - s]
+            if starts is not None and starts[:, s:e].any():
+                keys = np.arange(e)
+                outside = (keys < starts[:, s:e, None]) | (keys > np.arange(s, e)[:, None])
+                p += np.where(outside, q.dtype.type(MASK_FILL), 0)[:, None]
+            else:
+                p[..., s:] += mask[:e - s, :e - s]
             p -= p.max(axis=-1, keepdims=True)
             np.exp(p, out=p)
             p /= p.sum(axis=-1, keepdims=True)

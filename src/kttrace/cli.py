@@ -256,6 +256,9 @@ def read_prepared(cfg, name, splits):
     """Load a prepared dataset, parsing only the split names in ``splits``.
 
     Every other split is left empty, so a stage pays only for what it reads.
+    ``meta.json`` must be an object with a str ``name`` and int
+    ``dataset_index``, ``n_questions`` and ``n_kcs``, else
+    ``DataFormatError`` names the file and the key.
     """
     d = cfg.prepared_dir(name)
     meta_path = d / "meta.json"
@@ -263,6 +266,15 @@ def read_prepared(cfg, name, splits):
         raise UsageError(f"dataset {name!r} is not prepared (missing {meta_path}); "
                          "run the preprocess command first")
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    if not isinstance(meta, dict):
+        raise DataFormatError(f"{meta_path}: must be a JSON object, got {type(meta).__name__}")
+    for key, kind in (("name", str), ("dataset_index", int), ("n_questions", int),
+                      ("n_kcs", int)):
+        value = meta.get(key)
+        # bool is an int subclass, but no index or count is a flag
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise DataFormatError(f"{meta_path}: {key!r} must be a {kind.__name__}, "
+                                  f"got {'nothing' if key not in meta else repr(value)}")
     parsed = Splits(**{split: ingest(d / f"{split}.txt") if split in splits else []
                        for split in ("train", "valid", "test")})
     spec = DatasetSpec(meta["name"], meta["dataset_index"])

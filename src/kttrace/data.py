@@ -368,43 +368,76 @@ def build_vocab(specs, sizes):
 # batching
 
 
+ROW_WIDTH = 64      # least token capacity of a packed row
+TAPE_CELLS = 512    # most rows x width cells of one packed part, unless it is one row
+
+
 @dataclass
 class PackedBatch:
-    """Right-padded integer arrays for one single-dataset batch.
+    """Integer arrays for one single-dataset batch, segments end to end in rows.
 
-    ``pred_mask[b, t]`` marks positions whose next-step response exists;
-    scoring starts at the second interaction of each segment, so the
-    number of scored predictions per segment is its length minus one.
+    Row r holds one or more segments back to back from column 0; the
+    cells after its last segment are padding, a run of their own.
+    ``positions`` is each token's step within its segment (0 on padding)
+    and ``starts`` the column where its run begins, so a query at column
+    t may attend keys ``[starts[r, t], t]`` only. ``pred_mask[r, t]``
+    marks tokens whose segment has a next step; scoring starts at the
+    second interaction of each segment, so the number of scored
+    predictions per segment is its length minus one, and no prediction
+    reads across a boundary. ``lengths`` lists the segments in slot
+    order: row by row, left to right.
     """
 
     dataset_index: int
-    questions: np.ndarray      # [B, T] global ids
-    kcs: np.ndarray            # [B, T, K] global ids
-    kc_weight: np.ndarray      # [B, T, K] K/|KC set| on real KCs, else 0
-    responses: np.ndarray      # [B, T]
-    targets: np.ndarray        # [B, T, 1] response at t+1
-    pred_mask: np.ndarray      # [B, T, 1]
-    lengths: np.ndarray        # [B]
+    questions: np.ndarray      # [R, W] global ids
+    kcs: np.ndarray            # [R, W, K] global ids
+    kc_weight: np.ndarray      # [R, W, K] K/|KC set| on real KCs, else 0
+    responses: np.ndarray      # [R, W]
+    targets: np.ndarray        # [R, W, 1] response of the segment's next step
+    pred_mask: np.ndarray      # [R, W, 1]
+    lengths: np.ndarray        # [segments]
+    positions: np.ndarray      # [R, W] step within the segment
+    starts: np.ndarray         # [R, W] column where the token's run begins
 
 
-def pack_segments(segments, vocab, dataset_index, dtype=np.float32):
-    """Translate segments to global IDs and pad them into batch arrays.
+def pack_segments(segments, vocab, dataset_index, dtype=np.float32, per_row=None):
+    """Translate segments to global IDs and lay them end to end into rows.
 
-    ``K`` is the largest KC set in the batch, whatever width the segments
-    pad their KC sets to.
+    Row r holds the next ``per_row[r]`` segments, in order; by default
+    every segment has a row of its own, right-padded to the longest. The
+    width is the fullest row's token count. ``K`` is the largest KC set
+    in the batch, whatever width the segments pad their KC sets to.
     """
     if not segments:
         raise ValueError("cannot pack an empty batch")
-    B = len(segments)
     lengths = np.array([len(s) for s in segments], dtype=np.int64)
-    T = int(lengths.max())
-    local_q = np.full((B, T), -1, dtype=np.int64)
-    local_c = np.full((B, T, max(s.kcs.shape[1] for s in segments)), -1, dtype=np.int64)
-    responses = np.zeros((B, T), dtype=np.int64)
-    for b, seq in enumerate(segments):
-        local_q[b, :len(seq)] = seq.questions
-        local_c[b, :len(seq), :seq.kcs.shape[1]] = seq.kcs
-        responses[b, :len(seq)] = seq.responses
+    per_row = (np.ones(len(segments), dtype=np.int64) if per_row is None
+               else np.asarray(per_row, dtype=np.int64))
+    R = len(per_row)
+    first = np.cumsum(per_row) - per_row        # each row's first segment
+    row = np.repeat(np.arange(R), per_row)      # each segment's row
+    begin = np.cumsum(lengths) - lengths        # each segment's offset over all rows
+    col = begin - begin[first][row]             # each segment's first column
+    used = np.add.reduceat(lengths, first)
+    T = int(used.max())
+    # one entry per token: its segment, its step there, its cell
+    seg = np.repeat(np.arange(len(segments)), lengths)
+    step = np.arange(len(seg)) - begin[seg]
+    cell = row[seg], col[seg] + step
+
+    local_q = np.full((R, T), -1, dtype=np.int64)
+    local_c = np.full((R, T, max(s.kcs.shape[1] for s in segments)), -1, dtype=np.int64)
+    responses = np.zeros((R, T), dtype=np.int64)
+    local_q[cell] = np.concatenate([s.questions for s in segments])
+    responses[cell] = np.concatenate([s.responses for s in segments])
+    for seq, r, c in zip(segments, row.tolist(), col.tolist()):
+        local_c[r, c:c + len(seq), :seq.kcs.shape[1]] = seq.kcs
+    positions = np.zeros((R, T), dtype=np.int64)
+    positions[cell] = step
+    starts = np.repeat(used[:, None], T, axis=1)
+    starts[cell] = col[seg]
+    scored = np.zeros((R, T), dtype=bool)
+    scored[cell] = step < lengths[seg] - 1
 
     n_kcs = (local_c >= 0).sum(axis=2)
     K = int(n_kcs.max())
@@ -412,28 +445,42 @@ def pack_segments(segments, vocab, dataset_index, dtype=np.float32):
     questions = vocab.question_to_global(dataset_index, local_q)
     kcs = vocab.kc_to_global(dataset_index, local_c)
     kc_weight = ((local_c >= 0) * (K / np.maximum(n_kcs, 1))[..., None]).astype(dtype)
-    targets = np.zeros((B, T, 1), dtype=dtype)
-    targets[:, :-1, 0] = responses[:, 1:]
-    pred_mask = (np.arange(T) < lengths[:, None] - 1).astype(dtype)[..., None]
+    targets = np.zeros((R, T, 1), dtype=dtype)
+    targets[:, :-1, 0] = np.where(scored[:, :-1], responses[:, 1:], 0)
+    pred_mask = scored.astype(dtype)[..., None]
     return PackedBatch(dataset_index, questions, kcs, kc_weight, responses, targets,
-                       pred_mask, lengths)
+                       pred_mask, lengths, positions, starts)
 
 
-def pack_by_length(segments, vocab, dataset_index, dtype=np.float32):
-    """One ``pack_segments`` batch per power-of-two length class.
+def pack_rows(segments, vocab, dataset_index, dtype=np.float32):
+    """Pack a batch into rows, cut into ``pack_segments`` parts.
 
-    A segment of length L is in class ``max(L - 1, 1).bit_length()``:
-    lengths 1-2, 3-4, 5-8, 9-16 and so on. Classes come in ascending
-    order and keep the segments' order. Every row of a class is longer
-    than half its longest, so fewer than half of a batch's cells are
-    padding.
+    Segments go longest first (ties in batch order) into the first row
+    with room for them; a row holds ``max(ROW_WIDTH, longest)`` tokens.
+    The rows are cut into consecutive parts of near-equal row count, each
+    of at most ``TAPE_CELLS`` cells (rows x the fullest row's tokens)
+    unless it is a single row. Every segment is in exactly one part, and
+    the plan depends on the segments' lengths only.
     """
     if not segments:
         raise ValueError("cannot pack an empty batch")
-    classes = {}
-    for seg in segments:
-        classes.setdefault(max(len(seg) - 1, 1).bit_length(), []).append(seg)
-    return [pack_segments(classes[c], vocab, dataset_index, dtype) for c in sorted(classes)]
+    lengths = [len(s) for s in segments]
+    order = sorted(range(len(segments)), key=lengths.__getitem__, reverse=True)
+    capacity = max(ROW_WIDTH, lengths[order[0]])
+    rows, room = [], []
+    for i in order:
+        r = next((r for r, free in enumerate(room) if free >= lengths[i]), len(rows))
+        if r == len(rows):
+            rows.append([])
+            room.append(capacity)
+        rows[r].append(i)
+        room[r] -= lengths[i]
+    per_part = max(1, TAPE_CELLS // (capacity - min(room)))
+    n_parts = -(-len(rows) // per_part)
+    bounds = [len(rows) * k // n_parts for k in range(n_parts + 1)]
+    return [pack_segments([segments[i] for row in rows[a:b] for i in row], vocab,
+                          dataset_index, dtype, per_row=[len(row) for row in rows[a:b]])
+            for a, b in zip(bounds, bounds[1:])]
 
 
 def in_batches(segments, batch_size):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import in_batches, pack_by_length
+from .data import in_batches, pack_rows
 
 
 @dataclass
@@ -94,19 +94,25 @@ def collect_predictions(model, segments, dataset_index, batch_size=64):
     The first interaction of each segment has no history and is excluded;
     padded positions are excluded by the batch mask. Segments are scored
     in length order (shortest first, ties in split order), ``batch_size``
-    at a time and each batch by length class, so little is padded; pooled
-    AUC and accuracy do not depend on the order of the pairs.
+    at a time, each batch packed into shared rows by ``pack_rows`` as in
+    training, so little is padded. The pairs come in that segment order,
+    each segment's steps in time order.
     """
     if not segments:
         raise ValueError("cannot evaluate an empty split")
-    ps, ys = [], []
+    ps, ys, lens = [], [], []
     for run in in_batches(sorted(segments, key=len), batch_size):
-        for batch in pack_by_length(run, model.vocab, dataset_index, dtype=model.dtype):
+        for batch in pack_rows(run, model.vocab, dataset_index, dtype=model.dtype):
             probs = model.predict_batch(batch)
             keep = batch.pred_mask[..., 0] == 1.0
             ps.append(probs[keep])
             ys.append(batch.targets[..., 0][keep])
-    return np.concatenate(ps), np.concatenate(ys).astype(np.int64)
+            lens.append(np.repeat(batch.lengths, batch.lengths - 1))
+    # a part's pairs come segment by segment in slot order, and slots keep
+    # the run's order among equal lengths, so a stable sort by length
+    # restores the segments' order: pairs do not depend on the packing
+    order = np.argsort(np.concatenate(lens), kind="stable")
+    return np.concatenate(ps)[order], np.concatenate(ys)[order].astype(np.int64)
 
 
 def evaluate(model, named_splits, batch_size=64):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .data import pack_by_length
+from .data import pack_rows
 
 INIT_STD = 0.02
 
@@ -204,17 +204,18 @@ class KTModel:
     # -- forward ------------------------------------------------------------
 
     def encode_steps(self, batch):
-        """Step vectors and head queries, both [B, T, d_model].
+        """Step vectors and head queries, both [R, W, d_model].
 
         The question, KC-mean and two data-type embeddings are summed once.
         A step vector adds the response, dataset and position embeddings to
-        that sum; the query at step t is the sum at step t+1, zero where
-        ``batch.pred_mask`` is 0.
+        that sum, the position being the step within its segment; the query
+        at step t is the sum at step t+1, zero where ``batch.pred_mask`` is
+        0, so no query reads across a segment boundary.
         """
-        T = batch.questions.shape[1]
-        if T > self.config.max_seq_len:
+        longest = int(batch.lengths.max())
+        if longest > self.config.max_seq_len:
             raise ValueError(
-                f"sequence length {T} exceeds max_seq_len {self.config.max_seq_len}")
+                f"sequence length {longest} exceeds max_seq_len {self.config.max_seq_len}")
         P = self._params
         type_q = ag.embedding_lookup(P["emb.type"], np.array([[0]]))
         type_c = ag.embedding_lookup(P["emb.type"], np.array([[1]]))
@@ -226,17 +227,18 @@ class KTModel:
         enc = ag.add(shared, ag.embedding_lookup(P["emb.response"], batch.responses))
         enc = ag.add(enc, ag.embedding_lookup(
             P["emb.dataset"], np.array([[batch.dataset_index]])))
-        enc = ag.add(enc, ag.embedding_lookup(
-            P["emb.position"], np.arange(T)[None, :]))
+        enc = ag.add(enc, ag.embedding_lookup(P["emb.position"], batch.positions))
         return enc, ag.mul(ag.next_step(shared), Tensor(batch.pred_mask))
 
     def _linear(self, x, w, b):
         return ag.add(ag.matmul(x, self._params[w], transpose_b=True), self._params[b])
 
     def forward_batch(self, batch, gates=None, drop_p=0.0, rng=None):
-        """Predicted next-response probabilities, shape [B, T, 1].
+        """Predicted next-response probabilities, shape [R, W, 1].
 
-        Position t carries the prediction for interaction t+1;
+        Each segment of a row is predicted as if it were alone: it attends
+        only to its own earlier steps (``batch.starts``). Position t
+        carries the prediction for the segment's next interaction;
         ``batch.pred_mask`` marks which of those are real. ``gates``, when
         given, multiplies each sublayer output by its all-ones gate so the
         tape captures per-unit gradients. ``drop_p`` above 0 applies
@@ -251,7 +253,7 @@ class KTModel:
             # no key bias: q.bk shifts a whole score row, which softmax cancels
             k = ag.matmul(z, P[f"block{i}.attn.wk"], transpose_b=True)
             v = self._linear(z, f"block{i}.attn.wv", f"block{i}.attn.bv")
-            a = ag.causal_attention(q, k, v, self.config.n_head)
+            a = ag.causal_attention(q, k, v, self.config.n_head, batch.starts)
             a = self._linear(a, f"block{i}.attn.wo", f"block{i}.attn.bo")
             if gates is not None:
                 a = ag.gate_apply(a, gates[(i, "attention")])
@@ -277,12 +279,13 @@ class KTModel:
     def backward_batch(self, segments, dataset_index, gates=None, drop_p=0.0, rng=None):
         """Backpropagate one batch's masked BCE; return its loss.
 
-        Each ``pack_by_length`` class runs on its own tape with its loss
-        divided by the whole batch's scored steps, so the classes' losses
-        and gradients add up to the batch's. Gradients are added into the
-        ``.grad`` of the parameters and ``gates``; nothing is zeroed first.
+        Each ``pack_rows`` part runs on its own tape with its loss divided
+        by the whole batch's scored steps, so the parts' losses and
+        gradients add up to the batch's; a batch within ``TAPE_CELLS`` is
+        one part, one forward. Gradients are added into the ``.grad`` of
+        the parameters and ``gates``; nothing is zeroed first.
         """
-        parts = pack_by_length(segments, self.vocab, dataset_index, self.dtype)
+        parts = pack_rows(segments, self.vocab, dataset_index, self.dtype)
         scored = sum(int(part.pred_mask.sum()) for part in parts)
         loss = 0.0
         for part in parts:
@@ -291,7 +294,7 @@ class KTModel:
                 part_loss = ag.bce_loss(probs, part.targets, part.pred_mask, total=scored)
             tape.backward(part_loss)
             loss += part_loss.item()
-            del probs, part_loss   # each holds this class's graph through .node
+            del probs, part_loss   # each holds this part's graph through .node
         return loss
 
     def predict_batch(self, batch):

@@ -2,7 +2,7 @@
 
 ``fit`` is the only training entry point. It runs mixed single-dataset
 batches (``mix_batches``), each through ``KTModel.backward_batch`` (masked
-BCE on next-response predictions, one tape per length class), Adam with
+BCE on next-response predictions, one tape per ``pack_rows`` part), Adam with
 optional global-norm clipping, and early stopping on mean validation AUC, then
 leaves the model at its best parameters and returns them as a
 checkpoint. Pre-training passes several rich datasets; fine-tuning

@@ -38,6 +38,11 @@ def seq_of(student_id, rows, width=None):
     return StudentSequence(student_id, column[0], kcs, column[1], column[2])
 
 
+def shares_rows(parts):
+    """True when some row of these ``pack_rows`` parts holds two or more segments."""
+    return sum(len(p.lengths) for p in parts) > sum(p.questions.shape[0] for p in parts)
+
+
 def hand_sequences():
     s1 = seq_of("a", [
         (0, (0, 2), 1, 0),

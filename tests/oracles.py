@@ -53,7 +53,7 @@ def _step_vec(P, batch, D, b, t):
     for d in range(D):
         vec[d] += (P["emb.response"][batch.responses[b, t]][d]
                    + P["emb.dataset"][batch.dataset_index][d]
-                   + P["emb.position"][t][d])
+                   + P["emb.position"][batch.positions[b, t]][d])
     return vec
 
 
@@ -71,8 +71,10 @@ def _query_vec(P, batch, D, b, t):
     return vec
 
 
-def _attention(P, prefix, z, D, H):
+def _attention(P, prefix, z, D, H, starts=None):
+    """Each step t attends to steps ``starts[t]`` to t (default 0 to t)."""
     T = len(z)
+    starts = [0] * T if starts is None else starts
     dh = D // H
     qp = [_linear(z[t], P[f"{prefix}.wq"], P[f"{prefix}.bq"]) for t in range(T)]
     kp = [_linear(z[t], P[f"{prefix}.wk"], [0.0] * D) for t in range(T)]  # keys: no bias
@@ -81,18 +83,24 @@ def _attention(P, prefix, z, D, H):
     for head in range(H):
         lo = head * dh
         for t in range(T):
+            keys = range(starts[t], t + 1)
             scores = [sum(qp[t][lo + e] * kp[u][lo + e] for e in range(dh))
-                      / math.sqrt(dh) for u in range(t + 1)]
+                      / math.sqrt(dh) for u in keys]
             mx = max(scores)
             exps = [math.exp(s - mx) for s in scores]
             tot = sum(exps)
             for e in range(dh):
-                ctx[t][lo + e] = sum(exps[u] / tot * vp[u][lo + e] for u in range(t + 1))
+                ctx[t][lo + e] = sum(x / tot * vp[u][lo + e] for x, u in zip(exps, keys))
     return [_linear(ctx[t], P[f"{prefix}.wo"], P[f"{prefix}.bo"]) for t in range(T)]
 
 
 def oracle_forward(model, batch):
-    """Scalar-loop replay of the forward equations, one position at a time."""
+    """Scalar-loop replay of the forward equations, one position at a time.
+
+    Each position attends from its run's first column (``batch.starts``)
+    and adds the position embedding of its step (``batch.positions``), so
+    segments that share a row are replayed as if each were alone.
+    """
     P = {k: v.data.tolist() for k, v in model.parameters().items()}
     cfg = model.config
     B, T = batch.questions.shape
@@ -103,7 +111,7 @@ def oracle_forward(model, batch):
         for i in range(cfg.n_layers):
             z = [_ln(h[t], P[f"block{i}.ln1.gain"], P[f"block{i}.ln1.bias"])
                  for t in range(T)]
-            a = _attention(P, f"block{i}.attn", z, D, H)
+            a = _attention(P, f"block{i}.attn", z, D, H, batch.starts[b].tolist())
             h = [[h[t][d] + a[t][d] for d in range(D)] for t in range(T)]
             z2 = [_ln(h[t], P[f"block{i}.ln2.gain"], P[f"block{i}.ln2.bias"])
                   for t in range(T)]
@@ -255,13 +263,22 @@ def oracle_pack(segments, vocab, dataset_index, dtype=np.float32):
                 kc_weight[b, t, k] = K / len(kc_sets[b][t])
             responses[b, t] = int(seq.responses[t])
 
+    # one segment per row: steps 0..L-1, then a padding run from column L
     targets = np.zeros((B, T, 1), dtype=dtype)
-    targets[:, :-1, 0] = responses[:, 1:].astype(dtype)
     pred_mask = np.zeros((B, T, 1), dtype=dtype)
+    positions = np.zeros((B, T), dtype=np.int64)
+    starts = np.zeros((B, T), dtype=np.int64)
     for b in range(B):
-        pred_mask[b, :max(lengths[b] - 1, 0), 0] = 1.0
+        for t in range(T):
+            if t < lengths[b]:
+                positions[b, t] = t
+            else:
+                starts[b, t] = lengths[b]
+            if t < lengths[b] - 1:
+                targets[b, t, 0] = responses[b, t + 1]
+                pred_mask[b, t, 0] = 1.0
     return PackedBatch(dataset_index, questions, kcs, kc_weight, responses, targets,
-                       pred_mask, lengths)
+                       pred_mask, lengths, positions, starts)
 
 
 def oracle_simulate(theta, difficulty, question_kcs, n_kcs, learning_rate, mean_seq_len, rng):

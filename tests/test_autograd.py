@@ -606,6 +606,38 @@ def test_grad_causal_attention_over_uneven_tiles():
     check_attention_grads(130)   # 3 tiles: 44, 44 and a last one of 42
 
 
+def run_starts(T, runs):
+    """A [T] row of starts: consecutive runs of the given lengths from column 0."""
+    return np.repeat(np.cumsum((0,) + runs[:-1]), runs)[:T]
+
+
+def test_grad_causal_attention_inside_segments_over_uneven_tiles():
+    # 3 tiles of 44, 44 and 42. Row 0's segments (0-49, 50-89, 90-129) cross
+    # both tile boundaries; row 1 is one segment and a padding run. No
+    # segment starts inside the first tile, so it masks its diagonal block
+    # only, and the other two mask over all their keys.
+    T = 130
+    starts = np.stack([run_starts(T, (50, 40, 40)), run_starts(T, (100, 30))])
+    rng = np.random.default_rng(8)
+    arrays = {x: rng.normal(size=(2, T, 6)) for x in "qkv"}
+    check_op_grads(lambda t: scalarize(sigmoid(causal_attention(
+        t["q"], t["k"], t["v"], n_head=2, starts=starts))), arrays)
+
+
+def test_causal_attention_inside_segments_equals_each_segment_alone():
+    # row 0 is one segment, so only row 1 tells each tile to mask its segments
+    rng = np.random.default_rng(9)
+    rows = ((130,), (30, 20, 40, 40))
+    starts = np.stack([run_starts(130, runs) for runs in rows])
+    q, k, v = (rng.normal(size=(2, 130, 6)) for _ in range(3))
+    got = causal_attention(q, k, v, n_head=2, starts=starts).data
+    for r, runs in enumerate(rows):
+        for a, n in zip(np.cumsum((0,) + runs[:-1]), runs):
+            cut = (x[r:r + 1, a:a + n] for x in (q, k, v))
+            want = causal_attention(*cut, n_head=2).data
+            assert np.abs(got[r:r + 1, a:a + n] - want).max() < 1e-12, (r, a)
+
+
 def test_grad_mean_over_axis():
     rng = np.random.default_rng(9)
     arrays = {"x": rng.normal(size=(3, 4, 2))}

@@ -329,6 +329,37 @@ def test_bad_profile_is_data_error_before_training(pipeline, capsys, monkeypatch
     assert not out.exists()
 
 
+# case -> (the key the error must name, or None for a document that is not
+# an object; how to spoil a prepared meta.json)
+BAD_METAS = {
+    **{f"no-{key}": (key, lambda m, key=key: _without(m, key))
+       for key in ("name", "dataset_index", "n_questions", "n_kcs")},
+    "name-not-a-string": ("name", lambda m: dict(m, name=3)),
+    "count-not-an-int": ("n_kcs", lambda m: dict(m, n_kcs="4")),
+    "fractional-index": ("dataset_index", lambda m: dict(m, dataset_index=0.0)),
+    "bool-count": ("n_questions", lambda m: dict(m, n_questions=True)),
+    "a-list": (None, lambda m: [m]),
+    "a-number": (None, lambda m: 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_METAS))
+def test_malformed_meta_json_is_data_error_naming_file_and_key(tmp_path, capsys, caplog,
+                                                               case):
+    path = write_config(tmp_path, datasets=PIPELINE_DATASETS)
+    for argv in (["synth", "--dataset", "rich0"], ["synth", "--dataset", "low"],
+                 ["preprocess"]):
+        assert run_cli(capsys, *argv, "--config", str(path))[0] == 0
+    meta = tmp_path / "run" / "prepared" / "rich0" / "meta.json"
+    key, spoil = BAD_METAS[case]
+    meta.write_text(json.dumps(spoil(json.loads(meta.read_text()))))
+    with caplog.at_level(logging.ERROR, logger="kttrace"):
+        code, _ = run_cli(capsys, "pretrain", "--config", str(path))
+    assert code == 2
+    assert str(meta) in caplog.text
+    assert key is None or repr(key) in caplog.text
+
+
 def test_malformed_dataset_file_is_data_error(tmp_path, capsys):
     path = write_config(tmp_path)
     data = tmp_path / "run" / "data"

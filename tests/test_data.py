@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kttrace.data import (
+    ROW_WIDTH,
+    TAPE_CELLS,
     DataFormatError,
     DatasetSpec,
     GlobalVocab,
@@ -18,7 +20,7 @@ from kttrace.data import (
     in_batches,
     ingest,
     mix_batches,
-    pack_by_length,
+    pack_rows,
     pack_segments,
     preprocess,
     simulate_sequences,
@@ -424,27 +426,88 @@ def test_pack_segments_matches_the_per_interaction_oracle(seed):
                 assert a == b, f.name
 
 
-@settings(deadline=None, max_examples=100)
+def id_segments(lengths, response=1):
+    """Segment i asks question i at every step, so a cell names its segment."""
+    return [seq_of(f"s{i}", [(i, (0,), response, 0)] * n) for i, n in enumerate(lengths)]
+
+
+def slots(part):
+    """(segment, row, first column, length) per segment of a packed part,
+    read off its arrays: a real cell's question names its segment."""
+    out = []
+    for r in range(part.questions.shape[0]):
+        cols = np.flatnonzero(part.questions[r] < 100)   # dataset 0 has 100 questions
+        for c in cols[part.positions[r, cols] == 0]:
+            n = int(np.sum(part.questions[r] == part.questions[r, c]))
+            out.append((int(part.questions[r, c]), r, int(c), n))
+    return out
+
+
+@settings(deadline=None, max_examples=150)
 @given(st.lists(st.integers(1, 200), min_size=1, max_size=40))
-def test_pack_by_length_places_each_segment_once_by_class(lengths):
+def test_pack_rows_places_every_token_once_within_the_caps(lengths):
     v = vocab_two()
-    segs = [seq_of(f"s{i}", [(i, (0,), 1, 0)] * n) for i, n in enumerate(lengths)]
-    length_class = [max(n - 1, 1).bit_length() for n in lengths]
-    parts = pack_by_length(segs, v, dataset_index=0)
-    # segment i is the row whose questions are all i
-    placed = [int(i) for part in parts for i in part.questions[:, 0]]
-    assert placed == sorted(range(len(segs)), key=length_class.__getitem__)
-    classes = [{length_class[i] for i in part.questions[:, 0]} for part in parts]
-    assert all(len(c) == 1 for c in classes)
-    assert [c.pop() for c in classes] == sorted(set(length_class))
+    parts = pack_rows(id_segments(lengths), v, dataset_index=0)
+    capacity = max(ROW_WIDTH, max(lengths))
+    placed = []
     for part in parts:
-        assert part.lengths.tolist() == [lengths[i] for i in part.questions[:, 0]]
-        assert part.questions.size < 2 * part.lengths.sum()
+        R, W = part.questions.shape
+        assert R * W <= TAPE_CELLS or R == 1
+        layout = slots(part)
+        # lengths lists the part's segments in slot order: row by row, left to right
+        assert part.lengths.tolist() == [n for _, _, _, n in layout]
+        for i, r, c, n in layout:
+            # one contiguous run of the segment's steps, the one run of its id
+            assert n == lengths[i]
+            assert (part.questions[r, c:c + n] == i).all()
+            assert part.positions[r, c:c + n].tolist() == list(range(n))
+            assert (part.starts[r, c:c + n] == c).all()
+            assert part.pred_mask[r, c:c + n, 0].tolist() == [1] * (n - 1) + [0]
+        for r in range(R):
+            used = sum(n for _, row, _, n in layout if row == r)
+            assert used <= capacity
+            # the cells after the last segment are padding, a run of their own
+            assert (part.questions[r, used:] == v.unk_question(0)).all()
+            assert (part.starts[r, used:] == used).all() and (part.positions[r, used:] == 0).all()
+            assert not part.pred_mask[r, used:].any()
+        assert W == max(sum(n for _, row, _, n in layout if row == r) for r in range(R))
+        placed += [i for i, *_ in layout]
+    assert sorted(placed) == list(range(len(lengths)))
+    rows = [part.questions.shape[0] for part in parts]
+    assert max(rows) - min(rows) <= 1
 
 
-def test_pack_by_length_rejects_an_empty_batch():
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.integers(1, 120), min_size=1, max_size=40), st.randoms(use_true_random=False))
+def test_pack_rows_plan_is_a_function_of_the_lengths(lengths, random):
+    # the same lengths in another batch: other questions and responses, same layout
+    v = vocab_two()
+    first = pack_rows(id_segments(lengths), v, 0)
+    ids = list(range(len(lengths)))
+    random.shuffle(ids)
+    other = [seq_of(f"t{i}", [(ids[i], (1, 2), 0, 0)] * n) for i, n in enumerate(lengths)]
+    second = pack_rows(other, v, 0)
+    assert len(first) == len(second)
+    for a, b in zip(first, second):
+        for name in ("lengths", "positions", "starts", "pred_mask"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+        # segment i of one batch sits where segment i of the other does
+        np.testing.assert_array_equal(np.array(ids + [v.unk_question(0)])[
+            np.minimum(a.questions, len(ids))], b.questions)
+
+
+def test_pack_rows_fills_rows_longest_first():
+    # capacity 64, first fit by decreasing length, ties in batch order:
+    # 40 + 20 + 3 | 30 + 30 | 20 + 20 + 10
+    parts = pack_rows(id_segments([20, 40, 3, 30, 20, 10, 30, 20]), vocab_two(), 0)
+    assert len(parts) == 1
+    assert [[i for i, row, *_ in slots(parts[0]) if row == r] for r in range(3)] == [
+        [1, 0, 2], [3, 6], [4, 7, 5]]
+
+
+def test_pack_rows_rejects_an_empty_batch():
     with pytest.raises(ValueError, match="empty"):
-        pack_by_length([], vocab_two(), 0)
+        pack_rows([], vocab_two(), 0)
 
 
 # ---------------------------------------------------------------------------

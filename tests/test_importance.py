@@ -14,7 +14,7 @@ from kttrace.data import (
     SyntheticConfig,
     generate_synthetic,
     in_batches,
-    pack_by_length,
+    pack_rows,
     pack_segments,
     preprocess,
 )
@@ -27,7 +27,7 @@ from kttrace.importance import (
     freeze_masks,
     modulate,
 )
-from helpers import build_tiny, hand_sequences
+from helpers import build_tiny, hand_sequences, shares_rows
 from oracles import oracle_gate_gradients
 
 
@@ -342,12 +342,15 @@ def test_importance_matches_hand_derivation():
         assert np.abs(got - vec).max() / max(vec.max(), 1e-12) < 1e-10
 
 
-def test_importance_by_length_class_equals_one_pack_per_batch():
+def test_importance_by_length_class_equals_one_pack_per_batch(monkeypatch):
     cfg = SyntheticConfig(n_students=120, n_questions=12, n_kcs=6, mean_seq_len=8, seed=3)
     train = preprocess(generate_synthetic(cfg)[0], seed=4).train
     model, vocab = build_tiny(seed=5, n_layers=2, max_seq_len=200)
     assert len(train) > 64
-    assert len(pack_by_length(train[:64], vocab, 0)) > 1
+    # a smaller cap cuts a batch of 64 into parts of shared rows
+    monkeypatch.setattr("kttrace.data.TAPE_CELLS", 256)
+    parts = pack_rows(train[:64], vocab, 0)
+    assert len(parts) > 1 and shares_rows(parts)
     got = compute_importance(model, prepared_tiny(train), batch_size=64, normalize=False)
     gates = model.make_gates()
     want = {lid: 0.0 for lid in gates}

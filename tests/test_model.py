@@ -6,9 +6,10 @@ from hypothesis.extra.numpy import arrays
 
 from kttrace.autograd import Tape, Tensor, bce_loss, mean_over_axis, mul
 from kttrace.data import (
+    TAPE_CELLS,
     DatasetSpec,
     build_vocab,
-    pack_by_length,
+    pack_rows,
     pack_segments,
 )
 from kttrace.model import (
@@ -18,7 +19,7 @@ from kttrace.model import (
     parameter_count,
     zero_shot_adapt,
 )
-from helpers import build_tiny, hand_sequences, seq_of, tiny_vocab
+from helpers import build_tiny, hand_sequences, seq_of, shares_rows, tiny_vocab
 from oracles import oracle_forward
 
 
@@ -224,7 +225,7 @@ def test_ids_in_padded_cells_never_change_a_real_step_prediction(data, dtype):
 
 
 def classed_batch():
-    """Segments of lengths 1-16 in mixed order: four length classes."""
+    """Segments of lengths 1-16 in mixed order, 59 steps that share one packed row."""
     rng = np.random.default_rng(4)
     return [seq_of(f"s{i}", [(int(rng.integers(12)), (int(rng.integers(6)),),
                               int(rng.integers(2)), 60 * t) for t in range(n)])
@@ -234,7 +235,7 @@ def classed_batch():
 def test_backward_batch_equals_one_single_pack_with_gates():
     model, vocab = build_tiny(n_layers=2, seed=6)
     segs = classed_batch()
-    assert len(pack_by_length(segs, vocab, 1)) >= 3
+    assert shares_rows(pack_rows(segs, vocab, 1))
     batch = pack_segments(segs, vocab, 1, dtype=np.float64)
     gates = model.make_gates()
     with Tape() as tape:
@@ -327,6 +328,101 @@ def test_forward_matches_scalar_loop_oracle_past_one_tile():
     # 1e-5), so only a float64-tight bound tells a misplaced mask apart: one on
     # the wrong block of each tile moved them by 1.4e-7
     check_matches_scalar_loop_oracle(hand_sequences() + [long_sequence(130)], 130, tol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# segments that share a row
+
+
+def random_segments(lengths, seed):
+    rng = np.random.default_rng(seed)
+    return [seq_of(f"s{i}", [(int(rng.integers(12)), tuple(sorted({int(rng.integers(6)),
+                                                                   int(rng.integers(6))})),
+                              int(rng.integers(2)), 60 * t) for t in range(n)])
+            for i, n in enumerate(lengths)]
+
+
+# row 0 is 120 steps, two attention tiles of 60: its second segment (columns
+# 50-89) crosses the tile boundary and the third ends the row; row 1 holds
+# four short segments and padding, row 2 one segment of two steps
+SHARED_LENGTHS, SHARED_PER_ROW = (50, 40, 30, 9, 5, 3, 1, 2), (3, 4, 1)
+
+
+def segment_cells(lengths, per_row):
+    """(row, first column) of each segment of a ``per_row`` layout."""
+    cells, i = [], 0
+    for r, n in enumerate(per_row):
+        c = 0
+        for length in lengths[i:i + n]:
+            cells.append((r, c))
+            c += length
+        i += n
+    return cells
+
+
+def shared_batch(segments, vocab, dtype):
+    return pack_segments(segments, vocab, 0, dtype=dtype, per_row=SHARED_PER_ROW)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from([np.float32, np.float64]), st.integers(0, len(SHARED_LENGTHS) - 1),
+       st.sampled_from(["question", "kc", "response"]), st.data())
+def test_editing_one_segment_leaves_every_other_segment_bit_identical(dtype, j, field, data):
+    model, vocab = build_tiny(seed=7, n_layers=2, max_seq_len=64, dtype=dtype)
+    segs = random_segments(SHARED_LENGTHS, seed=8)
+    assert shared_batch(segs, vocab, dtype).questions.shape == (3, 120)
+    base = model.predict_batch(shared_batch(segs, vocab, dtype))
+    t = data.draw(st.integers(0, SHARED_LENGTHS[j] - 1))
+    edited = segs[j][:]
+    edited.questions, edited.kcs, edited.responses = (
+        edited.questions.copy(), edited.kcs.copy(), edited.responses.copy())
+    if field == "question":
+        edited.questions[t] = data.draw(st.integers(0, 15))   # 12 and up are unseen: UNK
+    elif field == "kc":
+        edited.kcs[t, 0] = data.draw(st.integers(0, 8))
+    else:
+        edited.responses[t] = 1 - edited.responses[t]
+    pert = model.predict_batch(shared_batch(segs[:j] + [edited] + segs[j + 1:], vocab, dtype))
+    for i, (r, c) in enumerate(segment_cells(SHARED_LENGTHS, SHARED_PER_ROW)):
+        if i != j:
+            cols = slice(c, c + SHARED_LENGTHS[i])
+            np.testing.assert_array_equal(pert[r, cols], base[r, cols], err_msg=f"segment {i}")
+
+
+def test_shared_rows_equal_one_segment_per_row_and_the_scalar_loop_oracle():
+    model, vocab = build_tiny(seed=3, n_layers=2, max_seq_len=64)
+    segs = random_segments(SHARED_LENGTHS, seed=9)
+    shared = shared_batch(segs, vocab, np.float64)
+    got = model.predict_batch(shared)
+    # every cell, padding runs included, against the oracle on the same rows
+    assert np.abs(got - oracle_forward(model, shared)).max() < 1e-12
+    alone = pack_segments(segs, vocab, 0, dtype=np.float64)
+    want = model.predict_batch(alone)
+    slow = oracle_forward(model, alone)
+    for i, (r, c) in enumerate(segment_cells(SHARED_LENGTHS, SHARED_PER_ROW)):
+        n = SHARED_LENGTHS[i]
+        assert np.abs(got[r, c:c + n] - want[i, :n]).max() < 1e-12, i
+        assert np.abs(got[r, c:c + n] - slow[i, :n]).max() < 1e-12, i
+
+
+def test_a_batch_within_tape_cells_runs_as_one_forward(monkeypatch):
+    # 16 segments of 3-40 steps: four rows of 64 under TAPE_CELLS make one
+    # part, so one forward; a per-length-class loop would run five
+    lengths = (40, 3, 21, 7, 12, 5, 30, 4, 9, 15, 3, 6, 18, 8, 10, 11)
+    model, vocab = build_tiny(n_layers=2, max_seq_len=64)
+    segs = random_segments(lengths, seed=10)
+    (part,) = pack_rows(segs, vocab, 0)
+    assert part.questions.size <= TAPE_CELLS and len(part.lengths) == 16
+    calls = []
+    original = KTModel.forward_batch
+
+    def counted(self, batch, *args, **kwargs):
+        calls.append(batch.questions.shape)
+        return original(self, batch, *args, **kwargs)
+
+    monkeypatch.setattr(KTModel, "forward_batch", counted)
+    model.backward_batch(segs, 0, drop_p=0.1, rng=np.random.default_rng(0))
+    assert calls == [part.questions.shape]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from kttrace.data import (
     SyntheticConfig,
     build_vocab,
     generate_synthetic,
-    pack_by_length,
+    pack_rows,
     pack_segments,
     preprocess,
 )
@@ -31,7 +31,7 @@ from kttrace.train import (
     stage_seed,
 )
 from kttrace.metrics import collect_predictions, auc
-from helpers import build_tiny, checkpoint_bytes, split_checkpoint
+from helpers import build_tiny, checkpoint_bytes, shares_rows, split_checkpoint
 
 
 def make_prepared(name="d0", index=0, n_students=20, seed=0, n_questions=10, n_kcs=4):
@@ -275,12 +275,15 @@ def test_pretrain_mixes_multiple_datasets():
 
 
 def test_fit_step_gradients_equal_one_single_pack(monkeypatch):
-    # one batch holds the whole train split; fit runs it as length classes
+    # one batch holds the whole train split; fit runs it as parts of shared
+    # rows, several of them under a smaller cap
     prepared = make_prepared(n_students=40)
     train = prepared.splits.train
     model, vocab = model_for([prepared], seed=2)
     model = KTModel.from_arrays(model.config, vocab, model.copy_arrays(), dtype=np.float64)
-    assert len(pack_by_length(train, vocab, 0)) > 1
+    monkeypatch.setattr("kttrace.data.TAPE_CELLS", 256)
+    parts = pack_rows(train, vocab, 0)
+    assert len(parts) > 1 and shares_rows(parts)
     batch = pack_segments(train, vocab, 0, dtype=np.float64)
     with Tape() as tape:
         loss = bce_loss(model.forward_batch(batch), batch.targets, batch.pred_mask)
