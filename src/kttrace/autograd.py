@@ -15,8 +15,8 @@ tiles of at most ``ATTN_TILE`` rows: each tile scores only its causal
 key prefix, in the forward and in the backward, so neither pass builds
 a [batch, heads, T, T] array and the tape keeps only the tiles'
 probabilities. This is the tiling of FlashAttention (Dao et al. 2022)
-over queries instead of keys, so each tile's plain softmax is exact and
-needs no online rescaling. A test
+over queries instead of keys, so each
+tile's plain softmax is exact and needs no online rescaling. A test
 fails if any public function here goes unused by a gated training step,
 so dead ops do not accumulate. Gates are plain all-ones
 leaf tensors multiplied into a layer's output, so their gradients can be
