@@ -57,9 +57,9 @@ class Tensor:
     """Dense row-major array with optional gradient tracking.
 
     ``grad`` is populated by :meth:`Tape.backward` for leaf tensors
-    (parameters and gates) and accumulates across repeated backward calls
-    until :meth:`zero_grad`. ``node`` is the tape node that produced a
-    non-leaf tensor; a leaf has none.
+    (parameters and gates) and accumulates, in place once it exists,
+    across repeated backward calls until :meth:`zero_grad`. ``node`` is
+    the tape node that produced a non-leaf tensor; a leaf has none.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "name", "node")
@@ -192,7 +192,10 @@ class Tape:
                 if gi is None or src is None:
                     continue
                 if isinstance(src, Tensor):
-                    src.grad = gi.copy() if src.grad is None else src.grad + gi
+                    if src.grad is None:
+                        src.grad = gi.copy()
+                    else:   # in place: a model's .grad is a view of its flat gradient
+                        src.grad += gi
                 else:
                     prev = flow.get(id(src))
                     flow[id(src)] = gi if prev is None else prev + gi
@@ -385,9 +388,11 @@ def layer_norm(x, gain, bias, eps=LN_EPS):
     if gain.shape != (width,) or bias.shape != (width,):
         raise ShapeError(f"layer_norm: gain/bias {gain.shape}/{bias.shape} "
                          f"must match feature width {width}")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # np.add.reduce(...) / width is what ndarray.mean computes, bit for bit,
+    # without its Python-level dispatch
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / width
     centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / width
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     data = xhat * gain.data + bias.data
@@ -398,8 +403,8 @@ def layer_norm(x, gain, bias, eps=LN_EPS):
     def bwd(g):
         dxhat = g * gamma
         dx = inv * (dxhat
-                    - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+                    - np.add.reduce(dxhat, axis=-1, keepdims=True) / width
+                    - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / width))
         dgain = _reduce_to(g * xhat, gamma.shape)
         dbias = _reduce_to(g, gamma.shape)
         return dx, dgain, dbias

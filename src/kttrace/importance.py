@@ -5,8 +5,11 @@ absolute gradient of the training loss (``KTModel.backward_batch``, as in
 training) with respect to the gate, taken over the target dataset, scores
 how much each output unit matters there.
 During fine-tuning the score vector is broadcast over each associated
-parameter and multiplied into its gradient, so unimportant units barely
-move while important ones learn freely.
+parameter and multiplied into its gradient. Adam divides each step by
+the gradient's running RMS, so a constant factor c on a unit's gradient
+cancels wherever c·|g| is well above Adam's epsilon (1e-8): a small
+nonzero score barely changes how far the unit moves. Only an exact zero
+freezes a unit.
 """
 
 from __future__ import annotations
@@ -189,21 +192,22 @@ def expand_importance(values, shape):
 
 
 def modulate(gradients, profile, gated_layers):
-    """Rescale gated-sublayer gradients by broadcast importance.
+    """Multiply gated-sublayer gradients, in place, by broadcast importance.
 
+    ``gradients`` maps parameter names to writable arrays, and
     ``gated_layers`` maps (block, kind) -> parameter names, as produced by
-    ``KTModel.gated_layers``. Gradients of parameters outside the gated
-    sublayers (embeddings, layer norms, prediction head) pass through
-    untouched; only the backward side changes, never the forward pass.
+    ``KTModel.gated_layers``. Arrays of parameters outside the gated
+    sublayers (embeddings, layer norms, prediction head) are left as they
+    are. Returns ``gradients``. ``fit`` applies it once, to the views of a
+    flat array of ones, and multiplies each step's flat gradient by the
+    result; only the backward side changes, never the forward pass.
     """
-    out = dict(gradients)
     for layer_id, names in gated_layers.items():
         values = profile.layers[layer_id].values
         for name in names:
             grad = gradients[name]
-            out[name] = grad * expand_importance(values.astype(grad.dtype, copy=False),
-                                                 grad.shape)
-    return out
+            grad *= expand_importance(values.astype(grad.dtype, copy=False), grad.shape)
+    return gradients
 
 
 def freeze_masks(profile, gated_layers, shapes):

@@ -14,6 +14,7 @@ feed-forward expansion, feed-forward projection) for importance probing.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -120,14 +121,30 @@ def parameter_count(config, vocab):
 
 
 class KTModel:
-    """A built model: config, vocabulary, and named parameter tensors."""
+    """A built model: config, vocabulary, and named parameter tensors.
 
-    def __init__(self, config, vocab, params):
+    Every parameter value lives in one flat array, ``flat_params``, in
+    ``_parameter_specs`` order and the model's dtype, and every gradient
+    in a second, ``flat_grads``. Each parameter ``Tensor``'s ``.data`` and
+    ``.grad`` are views into them (``views``), so the backward pass fills
+    the flat gradient directly and the optimizer, clipping, importance
+    scaling and parameter copies each act on a whole buffer at once.
+    """
+
+    def __init__(self, config, vocab, flat_params):
         config.validate()
         self.config = config
         self.vocab = vocab
-        self._params = params
-        self.dtype = next(iter(params.values())).dtype
+        self._shapes = [(name, shape) for name, shape, _ in _parameter_specs(config, vocab)]
+        self.flat_params = flat_params
+        self.flat_grads = np.zeros_like(flat_params)
+        self.dtype = flat_params.dtype
+        self._params = OrderedDict()
+        for (name, data), grad in zip(self.views(flat_params).items(),
+                                      self.views(self.flat_grads).values()):
+            t = Tensor(data, requires_grad=True, name=name)
+            t.grad = grad
+            self._params[name] = t
 
     # -- construction -------------------------------------------------------
 
@@ -135,26 +152,23 @@ class KTModel:
     def build(cls, config, vocab, seed, dtype=np.float32):
         """Initialize all weights from N(0, 0.02); biases zero, norm gains one."""
         rng = np.random.default_rng(seed)
-        params = OrderedDict()
+        model = cls(config, vocab, np.zeros(parameter_count(config, vocab), dtype=dtype))
         for name, shape, kind in _parameter_specs(config, vocab):
             if kind == "weight":
-                arr = rng.normal(0.0, INIT_STD, shape).astype(dtype)
+                model.param(name).data[...] = rng.normal(0.0, INIT_STD, shape)
             elif kind == "gain":
-                arr = np.ones(shape, dtype=dtype)
-            else:
-                arr = np.zeros(shape, dtype=dtype)
-            params[name] = Tensor(arr, requires_grad=True, name=name)
-        return cls(config, vocab, params)
+                model.param(name).data[...] = 1.0
+        return model
 
     @classmethod
     def from_arrays(cls, config, vocab, arrays, dtype=np.float32):
-        params = OrderedDict()
-        for name, shape, _ in _parameter_specs(config, vocab):
+        model = cls(config, vocab, np.empty(parameter_count(config, vocab), dtype=dtype))
+        for name, t in model.parameters().items():
             arr = np.asarray(arrays[name], dtype=dtype)
-            if arr.shape != shape:
-                raise ValueError(f"parameter {name}: expected shape {shape}, got {arr.shape}")
-            params[name] = Tensor(arr.copy(), requires_grad=True, name=name)
-        return cls(config, vocab, params)
+            if arr.shape != t.shape:
+                raise ValueError(f"parameter {name}: expected shape {t.shape}, got {arr.shape}")
+            t.data[...] = arr
+        return model
 
     # -- introspection ------------------------------------------------------
 
@@ -166,14 +180,24 @@ class KTModel:
 
     @property
     def n_params(self):
-        return sum(int(np.prod(t.shape)) for t in self._params.values())
+        return self.flat_params.size
+
+    def views(self, flat):
+        """Name -> view of ``flat``, an array laid out like ``flat_params``."""
+        out = OrderedDict()
+        start = 0
+        for name, shape in self._shapes:
+            size = math.prod(shape)
+            out[name] = flat[start:start + size].reshape(shape)
+            start += size
+        return out
 
     def zero_grad(self):
-        for t in self._params.values():
-            t.zero_grad()
+        self.flat_grads.fill(0)
 
     def copy_arrays(self):
-        return OrderedDict((n, t.data.copy()) for n, t in self._params.items())
+        """A copy of every parameter value, as one flat array (see ``views``)."""
+        return self.flat_params.copy()
 
     def gated_layers(self):
         """Map (block, sublayer kind) -> names of that sublayer's parameters."""

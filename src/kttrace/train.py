@@ -7,9 +7,11 @@ optional global-norm clipping, and early stopping on mean validation AUC, then
 leaves the model at its best parameters and returns them as a
 checkpoint. Pre-training passes several rich datasets; fine-tuning
 passes one target the model's vocabulary already covers (adapt it
-first) and may pass an ImportanceProfile, in which case every backward
-pass is followed by gradient modulation before the optimizer step; the
-forward pass is never altered.
+first) and may pass an ImportanceProfile, in which case every step's
+flat gradient is multiplied by the broadcast importance
+(``importance_scale``) before clipping and the optimizer step; the
+forward pass is never altered. A non-finite gradient norm ends the run
+before the optimizer writes any parameter.
 """
 
 from __future__ import annotations
@@ -44,14 +46,15 @@ _DIGEST_LEN = 32
 
 
 class TrainingDivergedError(ArithmeticError):
-    """Loss went non-finite; carries epoch, step and recent loss history."""
+    """Loss or gradient went non-finite; carries epoch, step and recent loss
+    history."""
 
-    def __init__(self, epoch, step, history):
+    def __init__(self, epoch, step, history, what="loss"):
         self.epoch = epoch
         self.step = step
         self.history = list(history)
         tail = ", ".join(f"{v:.4g}" for v in self.history[-8:])
-        super().__init__(f"non-finite loss at epoch {epoch}, step {step}; "
+        super().__init__(f"non-finite {what} at epoch {epoch}, step {step}; "
                          f"recent losses: [{tail}]")
 
 
@@ -124,49 +127,67 @@ def stage_seed(base_seed, *labels):
 
 
 class Adam:
-    """Standard Adam with bias correction.
+    """Standard Adam with bias correction, over one flat parameter array.
 
-    ``frozen`` masks mark elements whose update is skipped entirely,
-    moment estimates included, so zero-importance rows stay bit-identical
-    no matter how many steps run.
+    ``params`` is updated in place (``KTModel.flat_params``), and ``m`` and
+    ``v`` are flat arrays of its shape. A ``frozen`` boolean mask of that
+    shape marks elements whose update is skipped entirely, moment
+    estimates included, so zero-importance rows stay bit-identical no
+    matter how many steps run.
     """
 
     def __init__(self, params, config):
         self.params = params
-        self.lr = config.learning_rate
-        self.m = {n: np.zeros_like(t.data) for n, t in params.items()}
-        self.v = {n: np.zeros_like(t.data) for n, t in params.items()}
+        self.lr = float(config.learning_rate)   # a Python float keeps float32 steps in float32
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self.t = 0
 
     def step(self, grads, frozen=None):
         self.t += 1
         c1 = 1.0 - ADAM_BETA1 ** self.t
         c2 = 1.0 - ADAM_BETA2 ** self.t
-        for name, p in self.params.items():
-            g = grads[name].astype(p.data.dtype, copy=False)
-            new_m = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
-            new_v = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * (g * g)
-            update = self.lr * (new_m / c1) / (np.sqrt(new_v / c2) + ADAM_EPS)
-            if frozen is not None and name in frozen:
-                hold = frozen[name]
-                new_m = np.where(hold, self.m[name], new_m)
-                new_v = np.where(hold, self.v[name], new_v)
-                update = np.where(hold, 0.0, update)
-            self.m[name] = new_m
-            self.v[name] = new_v
-            p.data -= update
+        g = grads.astype(self.params.dtype, copy=False)
+        m, v = self.m, self.v
+        if frozen is not None:
+            held = m[frozen], v[frozen]
+        # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+        # update = lr * (m/c1) / (sqrt(v/c2) + eps), each rounded in that order
+        tmp = (1.0 - ADAM_BETA1) * g
+        m *= ADAM_BETA1
+        m += tmp
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - ADAM_BETA2
+        v *= ADAM_BETA2
+        v += tmp
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPS
+        update = m / c1
+        update *= self.lr
+        update /= tmp
+        if frozen is not None:
+            m[frozen], v[frozen] = held
+            update[frozen] = 0.0
+        self.params -= update
+
+
+def _grad_norm(grads):
+    """L2 norm of a flat gradient, summed in float64 (einsum casts in
+    chunks, so no float64 copy of the gradient is made)."""
+    return math.sqrt(np.einsum("i,i->", grads, grads, dtype=np.float64))
 
 
 def clip_gradients(grads, max_norm):
-    """Scale all gradients if their joint L2 norm exceeds ``max_norm``."""
-    total = 0.0
-    for g in grads.values():
-        total += float(np.sum(g.astype(np.float64) ** 2))
-    norm = np.sqrt(total)
+    """Scale a flat gradient in place if its L2 norm exceeds ``max_norm``.
+
+    Returns the gradient and its norm before clipping.
+    """
+    norm = _grad_norm(grads)
     if norm <= max_norm or norm == 0.0:
         return grads, norm
-    scale = max_norm / norm
-    return {n: g * g.dtype.type(scale) for n, g in grads.items()}, norm
+    grads *= grads.dtype.type(max_norm / norm)
+    return grads, norm
 
 
 class EarlyStopper:
@@ -199,8 +220,7 @@ class Checkpoint:
 
     @classmethod
     def from_model(cls, model, metadata):
-        params = OrderedDict((n, t.data.astype("<f4"))
-                             for n, t in model.parameters().items())
+        params = model.views(model.flat_params.astype("<f4"))
         return cls(model.config, model.vocab, params, dict(metadata))
 
     def build_model(self, dtype=np.float32):
@@ -316,6 +336,30 @@ def _malformed(path, exc):
 # the loop
 
 
+def importance_scale(model, profile):
+    """The flat importance scale and freeze mask of a fine-tuning run.
+
+    ``scale`` is laid out like ``model.flat_params``: each gated
+    sublayer's elements hold their unit's importance, every other element
+    1. ``frozen`` marks the elements of zero-importance units, or is None
+    when there are none. ``fit`` builds both once and multiplies each
+    step's gradient by ``scale``.
+    """
+    profile.check_covers(model.gate_widths())
+    gated = model.gated_layers()
+    scale = np.ones_like(model.flat_params)
+    modulate(model.views(scale), profile, gated)
+    shapes = {n: t.shape for n, t in model.parameters().items()}
+    masks = freeze_masks(profile, gated, shapes)
+    if not masks:
+        return scale, None
+    frozen = np.zeros(scale.shape, dtype=bool)
+    views = model.views(frozen)
+    for name, mask in masks.items():
+        views[name][...] = mask
+    return scale, frozen
+
+
 def fit(model, datasets, config, profile=None, stage="train"):
     """Train ``model`` in place; return its best-validation checkpoint.
 
@@ -331,15 +375,11 @@ def fit(model, datasets, config, profile=None, stage="train"):
         if key not in entries:
             raise ValueError(f"dataset {key} not in the checkpoint vocabulary; "
                              "adapt the model first")
-    masks = None
-    gated = None
+    scale = frozen = None
     if profile is not None:
-        profile.check_covers(model.gate_widths())
-        gated = model.gated_layers()
-        shapes = {n: t.shape for n, t in model.parameters().items()}
-        masks = freeze_masks(profile, gated, shapes) or None
+        scale, frozen = importance_scale(model, profile)
 
-    adam = Adam(model.parameters(), config)
+    adam = Adam(model.flat_params, config)
     drop_rng = np.random.default_rng([config.seed, 0xD0])
     stopper = EarlyStopper(config.patience)
     best_params = model.copy_arrays()
@@ -347,6 +387,7 @@ def fit(model, datasets, config, profile=None, stage="train"):
     val_history = []
     step = 0
     train_lists = [d.splits.train for d in datasets]
+    grads = model.flat_grads
     for epoch in range(config.max_epochs):
         for d_pos, segs in mix_batches(train_lists, config.batch_size,
                                        seed=[config.seed, 0xBA, epoch]):
@@ -356,13 +397,16 @@ def fit(model, datasets, config, profile=None, stage="train"):
                                             drop_p=config.dropout, rng=drop_rng)
             except NumericalError as exc:
                 raise TrainingDivergedError(epoch, step, history) from exc
-            grads = {n: t.grad for n, t in model.parameters().items()}
-            if profile is not None:
-                grads = modulate(grads, profile, gated)
-            if config.clip_norm:
-                grads, _ = clip_gradients(grads, config.clip_norm)
-            adam.step(grads, frozen=masks)
             history.append(loss)
+            if scale is not None:
+                grads *= scale
+            if config.clip_norm:
+                _, norm = clip_gradients(grads, config.clip_norm)
+            else:
+                norm = _grad_norm(grads)
+            if not math.isfinite(norm):   # before Adam writes any parameter
+                raise TrainingDivergedError(epoch, step, history, what="gradient")
+            adam.step(grads, frozen=frozen)
             step += 1
         reports = evaluate(model, [(d.spec.name, d.spec.dataset_index, "valid",
                                     d.splits.valid) for d in datasets],
@@ -377,8 +421,7 @@ def fit(model, datasets, config, profile=None, stage="train"):
         if should_stop:
             break
 
-    for name, arr in best_params.items():
-        model.param(name).data[...] = arr
+    model.flat_params[...] = best_params
     metadata = {
         "stage": stage,
         "seed": config.seed,

@@ -219,6 +219,58 @@ def embedding_backward(n_rows, ids, g):
     return grad
 
 
+class PerTensorAdam:
+    """Adam as one loop over named arrays, the optimizer ``train.Adam``
+    replaced with one pass over a flat buffer.
+
+    ``params`` maps names to arrays that ``step`` updates in place;
+    ``frozen`` maps some names to boolean masks of elements that keep
+    their value and moments.
+    """
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.m = {n: np.zeros_like(p) for n, p in params.items()}
+        self.v = {n: np.zeros_like(p) for n, p in params.items()}
+        self.t = 0
+
+    def step(self, grads, frozen=None):
+        b1, b2 = self.beta1, self.beta2
+        self.t += 1
+        c1 = 1.0 - b1 ** self.t
+        c2 = 1.0 - b2 ** self.t
+        for name, p in self.params.items():
+            g = grads[name].astype(p.dtype, copy=False)
+            new_m = b1 * self.m[name] + (1.0 - b1) * g
+            new_v = b2 * self.v[name] + (1.0 - b2) * (g * g)
+            update = self.lr * (new_m / c1) / (np.sqrt(new_v / c2) + self.eps)
+            if frozen is not None and name in frozen:
+                hold = frozen[name]
+                new_m = np.where(hold, self.m[name], new_m)
+                new_v = np.where(hold, self.v[name], new_v)
+                update = np.where(hold, 0.0, update)
+            self.m[name] = new_m
+            self.v[name] = new_v
+            p -= update
+
+
+def per_tensor_clip(grads, max_norm):
+    """Global-norm clipping over named arrays, one tensor at a time.
+
+    Returns new arrays (or ``grads`` itself when the norm is within
+    ``max_norm``) and the norm before clipping.
+    """
+    total = 0.0
+    for g in grads.values():
+        total += float(np.sum(g.astype(np.float64) ** 2))
+    norm = np.sqrt(total)
+    if norm <= max_norm or norm == 0.0:
+        return grads, norm
+    scale = max_norm / norm
+    return {n: g * g.dtype.type(scale) for n, g in grads.items()}, norm
+
+
 def pairwise_auc(probs, labels):
     """Brute-force O(n^2) AUC: count wins and halved ties directly."""
     probs = np.asarray(probs, dtype=np.float64).reshape(-1)

@@ -78,21 +78,24 @@ def fixture_grads(model):
 def test_modulate_all_ones_is_bitwise_identity():
     model, _ = build_tiny(dtype=np.float32)
     grads = fixture_grads(model)
+    want = {name: g.tobytes() for name, g in grads.items()}
     out = modulate(grads, constant_profile(model, 1.0), model.gated_layers())
+    assert out is grads   # scaled in place
     for name in grads:
-        assert out[name].tobytes() == grads[name].tobytes(), name
+        assert out[name].tobytes() == want[name], name
 
 
 def test_modulate_all_zeros_freezes_gated_only():
     model, _ = build_tiny(dtype=np.float32)
     grads = fixture_grads(model)
+    want = {name: g.tobytes() for name, g in grads.items()}
     out = modulate(grads, constant_profile(model, 0.0), model.gated_layers())
     gated = {n for names in model.gated_layers().values() for n in names}
     for name in grads:
         if name in gated:
             assert (out[name] == 0.0).all(), name
         else:
-            assert out[name] is grads[name], name
+            assert out[name].tobytes() == want[name], name
 
 
 def test_modulate_missing_layer_errors():

@@ -431,7 +431,7 @@ def test_a_batch_within_tape_cells_runs_as_one_forward(monkeypatch):
 
 def test_adapt_smoke_and_isolation():
     model, _ = build_tiny(dtype=np.float32)
-    before = model.copy_arrays()
+    before = model.views(model.copy_arrays())
     adapted = zero_shot_adapt(model, "new", n_questions=8, n_kcs=4, seed=1)
     assert adapted.vocab.n_datasets == 3
     seq = seq_of("x", [(0, (0,), 1, 0),

@@ -1,19 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kttrace.autograd import Tape, Tensor, bce_loss
+from kttrace.autograd import Tape, bce_loss
 from kttrace.data import (
     DatasetSpec,
     PreparedDataset,
     SyntheticConfig,
     build_vocab,
     generate_synthetic,
+    mix_batches,
     pack_rows,
     pack_segments,
     preprocess,
 )
-from kttrace.importance import LayerImportance, constant_profile, freeze_masks, modulate
-from kttrace.model import KTModel, ModelConfig
+from kttrace.importance import LayerImportance, constant_profile
+from kttrace.model import KTModel, ModelConfig, _parameter_specs, zero_shot_adapt
 from kttrace.train import (
     Adam,
     Checkpoint,
@@ -26,12 +29,14 @@ from kttrace.train import (
     TrainingDivergedError,
     clip_gradients,
     fit,
+    importance_scale,
     load_checkpoint,
     save_checkpoint,
     stage_seed,
 )
 from kttrace.metrics import collect_predictions, auc
 from helpers import build_tiny, checkpoint_bytes, shares_rows, split_checkpoint
+from oracles import PerTensorAdam, per_tensor_clip
 
 
 def make_prepared(name="d0", index=0, n_students=20, seed=0, n_questions=10, n_kcs=4):
@@ -65,41 +70,98 @@ def quiet_config(**kw):
 
 def test_adam_matches_hand_trace():
     # single 64-bit parameter, three steps, written out by hand
-    w = Tensor(np.array([1.0]), requires_grad=True, name="w")
+    w = np.array([1.0])
     cfg = quiet_config(learning_rate=1e-3)
-    opt = Adam({"w": w}, cfg)
+    opt = Adam(w, cfg)
     grads = [0.5, -0.3, 0.2]
     m = v = 0.0
     expect = 1.0
     for t, g in enumerate(grads, start=1):
-        opt.step({"w": np.array([g])})
+        opt.step(np.array([g]))
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
         mhat = m / (1.0 - 0.9 ** t)
         vhat = v / (1.0 - 0.999 ** t)
         expect -= 1e-3 * mhat / (vhat ** 0.5 + 1e-8)
-        assert abs(w.data[0] - expect) < 1e-10
+        assert abs(w[0] - expect) < 1e-10
 
 
 def test_adam_frozen_elements_never_move():
-    w = Tensor(np.zeros((2, 3)), requires_grad=True)
-    opt = Adam({"w": w}, quiet_config())
-    frozen = {"w": np.array([[True] * 3, [False] * 3])}
+    w = np.zeros(6)
+    opt = Adam(w, quiet_config())
+    frozen = np.array([True] * 3 + [False] * 3)
     for _ in range(5):
-        opt.step({"w": np.ones((2, 3))}, frozen=frozen)
-    assert (w.data[0] == 0.0).all()
-    assert (w.data[1] != 0.0).all()
-    assert (opt.m["w"][0] == 0.0).all() and (opt.v["w"][0] == 0.0).all()
+        opt.step(np.ones(6), frozen=frozen)
+    assert (w[:3] == 0.0).all()
+    assert (w[3:] != 0.0).all()
+    assert (opt.m[:3] == 0.0).all() and (opt.v[:3] == 0.0).all()
 
 
 def test_clip_gradients():
-    grads = {"a": np.array([3.0]), "b": np.array([4.0])}
+    grads = np.array([3.0, 4.0])
     clipped, norm = clip_gradients(grads, 5.0)
     assert norm == 5.0 and clipped is grads  # at the boundary: untouched
+    assert clipped.tolist() == [3.0, 4.0]
     clipped, norm = clip_gradients(grads, 2.5)
-    assert norm == 5.0
-    total = np.sqrt(sum(float(np.sum(g ** 2)) for g in clipped.values()))
+    assert norm == 5.0 and clipped is grads  # scaled in place
+    total = np.sqrt(float(np.sum(clipped ** 2)))
     assert total == pytest.approx(2.5, rel=1e-12)
+
+
+gradient_runs = st.integers(0, 2**32 - 1).flatmap(lambda seed: st.tuples(
+    st.just(seed),
+    st.lists(st.tuples(st.integers(1, 4), st.integers(1, 5)), min_size=1, max_size=4),
+    st.integers(1, 6),
+    st.sampled_from([np.float32, np.float64]),
+    st.booleans()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(gradient_runs)
+def test_flat_adam_equals_the_per_tensor_oracle_bit_for_bit(run):
+    seed, shapes, steps, dtype, with_mask = run
+    rng = np.random.default_rng(seed)
+    names = [f"p{i}" for i in range(len(shapes))]
+    sizes = [rows * cols for rows, cols in shapes]
+    flat = rng.normal(0.0, 0.1, sum(sizes)).astype(dtype)
+    pieces = np.split(flat.copy(), np.cumsum(sizes)[:-1])
+    oracle = PerTensorAdam({n: piece.reshape(shape) for n, piece, shape
+                            in zip(names, pieces, shapes)}, 1e-3)
+    frozen = rng.random(flat.size) < 0.3 if with_mask else None
+    frozen_by_name = None
+    if with_mask:
+        frozen_by_name = {n: m.reshape(shape) for n, m, shape
+                          in zip(names, np.split(frozen, np.cumsum(sizes)[:-1]), shapes)}
+    opt = Adam(flat, quiet_config())
+    for _ in range(steps):
+        # gradients of mixed magnitudes, some exactly zero
+        g = (rng.normal(size=flat.size) * 10.0 ** rng.integers(-9, 3, flat.size)).astype(dtype)
+        g[rng.random(flat.size) < 0.1] = 0.0
+        opt.step(g.copy(), frozen=frozen)
+        oracle.step({n: piece.reshape(shape) for n, piece, shape
+                     in zip(names, np.split(g, np.cumsum(sizes)[:-1]), shapes)},
+                    frozen=frozen_by_name)
+        for got, want in ((flat, oracle.params), (opt.m, oracle.m), (opt.v, oracle.v)):
+            assert got.dtype == dtype
+            assert got.tobytes() == np.concatenate(
+                [want[n].reshape(-1) for n in names]).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(gradient_runs, st.floats(1e-3, 1e3))
+def test_flat_clip_equals_the_per_tensor_oracle(run, max_norm):
+    seed, shapes, _, dtype, _ = run
+    rng = np.random.default_rng(seed)
+    sizes = [rows * cols for rows, cols in shapes]
+    flat = (rng.normal(size=sum(sizes)) * 10.0 ** rng.integers(-3, 3)).astype(dtype)
+    pieces = dict(enumerate(np.split(flat.copy(), np.cumsum(sizes)[:-1])))
+    want, want_norm = per_tensor_clip(pieces, max_norm)
+    got, norm = clip_gradients(flat, max_norm)
+    # one sum over the buffer rounds differently from a sum of per-tensor
+    # sums, by a few float64 units in the last place, which the scale passes on
+    assert norm == pytest.approx(want_norm, rel=1e-14)
+    np.testing.assert_allclose(got, np.concatenate(list(want.values())),
+                               rtol=8 * np.finfo(dtype).eps, atol=0)
 
 
 def test_early_stopper_patience_window():
@@ -280,7 +342,8 @@ def test_fit_step_gradients_equal_one_single_pack(monkeypatch):
     prepared = make_prepared(n_students=40)
     train = prepared.splits.train
     model, vocab = model_for([prepared], seed=2)
-    model = KTModel.from_arrays(model.config, vocab, model.copy_arrays(), dtype=np.float64)
+    model = KTModel.from_arrays(model.config, vocab, model.views(model.copy_arrays()),
+                                dtype=np.float64)
     monkeypatch.setattr("kttrace.data.TAPE_CELLS", 256)
     parts = pack_rows(train, vocab, 0)
     assert len(parts) > 1 and shares_rows(parts)
@@ -294,7 +357,7 @@ def test_fit_step_gradients_equal_one_single_pack(monkeypatch):
     original = Adam.step
 
     def record(self, grads, frozen=None):
-        seen.append({n: g.copy() for n, g in grads.items()})
+        seen.append(model.views(grads.copy()))
         return original(self, grads, frozen)
 
     monkeypatch.setattr(Adam, "step", record)
@@ -312,7 +375,7 @@ def test_fit_trains_with_a_length_one_segment():
     prepared = make_prepared()
     prepared.splits.train.insert(0, prepared.splits.train[0][:1])
     model, _ = model_for([prepared])
-    before = model.copy_arrays()
+    before = model.views(model.copy_arrays())
     ckpt = fit(model, [prepared], quiet_config(max_epochs=2, batch_size=64))
     assert np.isfinite(ckpt.metadata["final_train_loss"])
     assert all(np.isfinite(a).all() for a in ckpt.params.values())
@@ -357,9 +420,8 @@ def test_single_step_row_level_freeze():
     profile = constant_profile(model, 1.0)
     profile.layers[(0, "intermediate")] = LayerImportance(
         0, "intermediate", np.array([0.0, 1.0], dtype=np.float32))
-    gated = model.gated_layers()
-    shapes = {n: t.shape for n, t in model.parameters().items()}
-    masks = freeze_masks(profile, gated, shapes)
+    scale, frozen = importance_scale(model, profile)
+    assert frozen is not None
     before = model.param("block0.inter.w").data.copy()
 
     batch = pack_segments(prepared.splits.train[:4], vocab, 0, model.dtype)
@@ -367,9 +429,7 @@ def test_single_step_row_level_freeze():
     with Tape() as tape:
         loss = bce_loss(model.forward_batch(batch), batch.targets, batch.pred_mask)
     tape.backward(loss)
-    grads = {n: t.grad for n, t in model.parameters().items() if t.grad is not None}
-    grads = modulate(grads, profile, gated)
-    Adam(model.parameters(), quiet_config()).step(grads, frozen=masks)
+    Adam(model.flat_params, quiet_config()).step(model.flat_grads * scale, frozen=frozen)
 
     after = model.param("block0.inter.w").data
     assert after[0].tobytes() == before[0].tobytes()
@@ -392,6 +452,74 @@ def test_divergence_reports_epoch_and_history():
     model.param("block0.attn.wk").data *= 1e22
     with pytest.raises(TrainingDivergedError, match="epoch 0"):
         fit(model, [prepared], quiet_config(max_epochs=1))
+
+
+@pytest.mark.parametrize("clip_norm", [5.0, None], ids=["clipped", "unclipped"])
+@pytest.mark.parametrize("where", ["mid-run", "last-step"])
+def test_non_finite_gradient_ends_fit_before_the_update(monkeypatch, where, clip_norm):
+    prepared = make_prepared()
+    model, _ = model_for([prepared])
+    config = quiet_config(max_epochs=3, patience=5, batch_size=4, clip_norm=clip_norm)
+    per_epoch = sum(1 for _ in mix_batches([prepared.splits.train], config.batch_size,
+                                           seed=[config.seed, 0xBA, 0]))
+    assert per_epoch >= 3
+    # the second step of the second epoch, or the run's last step
+    bad = per_epoch + 1 if where == "mid-run" else 3 * per_epoch - 1
+    original = KTModel.backward_batch
+    calls, before = [], []
+
+    def poisoned(self, *args, **kwargs):
+        loss = original(self, *args, **kwargs)
+        if len(calls) == bad:
+            before.append(self.flat_params.copy())
+            self.param("block0.inter.w").grad[0, 0] = np.inf
+        calls.append(loss)
+        return loss
+
+    monkeypatch.setattr(KTModel, "backward_batch", poisoned)
+    with pytest.raises(TrainingDivergedError) as info:
+        fit(model, [prepared], config)
+    epoch, step = divmod(bad, per_epoch)
+    assert (info.value.epoch, info.value.step) == (epoch, bad)
+    assert f"non-finite gradient at epoch {epoch}, step {bad};" in str(info.value)
+    assert len(calls) == bad + 1
+    assert model.flat_params.tobytes() == before[0].tobytes()
+
+
+def check_bound_to_flat_buffers(model):
+    """Every parameter's .data and .grad are views of the model's two flat
+    buffers, at their offsets in checkpoint order."""
+    flats = (model.flat_params, model.flat_grads)
+    assert [f.dtype for f in flats] == [model.dtype] * 2
+    names = [name for name, _, _ in _parameter_specs(model.config, model.vocab)]
+    assert list(model.parameters()) == names
+    offset = 0
+    for t in model.parameters().values():
+        for arr, flat in zip((t.data, t.grad), flats):
+            assert np.shares_memory(arr, flat), t.name
+            assert arr.flags.c_contiguous and arr.dtype == flat.dtype, t.name
+            address = flat.__array_interface__["data"][0] + offset * flat.itemsize
+            assert arr.__array_interface__["data"][0] == address, t.name
+        offset += t.data.size
+    assert offset == model.flat_params.size == model.flat_grads.size == model.n_params
+
+
+def test_parameters_are_views_of_the_flat_buffers(tmp_path):
+    prepared = make_prepared()
+    model, vocab = model_for([prepared])
+    check_bound_to_flat_buffers(model)
+    check_bound_to_flat_buffers(KTModel.from_arrays(
+        model.config, vocab, model.views(model.copy_arrays()), dtype=np.float64))
+    adapted = zero_shot_adapt(model, "new", n_questions=5, n_kcs=3, seed=1)
+    check_bound_to_flat_buffers(adapted)
+    ckpt = fit(model, [prepared], quiet_config(max_epochs=2))
+    check_bound_to_flat_buffers(model)
+    assert model.flat_params.tobytes() == np.concatenate(
+        [a.reshape(-1) for a in ckpt.params.values()]).tobytes()
+    save_checkpoint(ckpt, tmp_path / "m.lrkt")
+    loaded = load_checkpoint(tmp_path / "m.lrkt").build_model()
+    check_bound_to_flat_buffers(loaded)
+    assert loaded.flat_params.tobytes() == model.flat_params.tobytes()
 
 
 def test_fit_requires_validation_split():
