@@ -58,8 +58,9 @@ class Tensor:
 
     ``grad`` is populated by :meth:`Tape.backward` for leaf tensors
     (parameters and gates) and accumulates, in place once it exists,
-    across repeated backward calls until :meth:`zero_grad`. ``node`` is
-    the tape node that produced a non-leaf tensor; a leaf has none.
+    across repeated backward calls until :meth:`zero_grad` zeroes it in
+    place. ``node`` is the tape node that produced a non-leaf tensor; a
+    leaf has none.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "name", "node")
@@ -93,7 +94,8 @@ class Tensor:
         return self.data.dtype
 
     def zero_grad(self):
-        self.grad = None
+        if self.grad is not None:   # in place: a model's .grad is a view of its flat gradient
+            self.grad[...] = 0
 
     def item(self):
         return float(self.data.item())

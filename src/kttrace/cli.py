@@ -492,9 +492,31 @@ _COMMANDS = {
 }
 
 
+def _keep_freed_heap():
+    """Let glibc keep freed heap memory for the next pass instead of
+    returning it to the OS.
+
+    A training or eval pass frees its activations at the end of every
+    packed part. By default glibc then trims the heap's free top once it
+    exceeds twice the largest mmapped block freed so far (128 KiB at
+    start), and the next part faults the same pages back in, one 4 KiB
+    page at a time. These are the ceilings of glibc's own dynamic
+    thresholds: blocks under 32 MiB come from the heap, and up to 64 MiB
+    of free heap top is kept. A no-op where the C library has no mallopt.
+    """
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)   # M_TRIM_THRESHOLD
+
+
 def main(argv=None):
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
+    _keep_freed_heap()
     started = time.time()
     try:
         args = build_parser().parse_args(argv)

@@ -508,6 +508,10 @@ def test_parameters_are_views_of_the_flat_buffers(tmp_path):
     prepared = make_prepared()
     model, vocab = model_for([prepared])
     check_bound_to_flat_buffers(model)
+    model.backward_batch(prepared.splits.train[:4], 0)
+    model.param("head.w1").zero_grad()
+    check_bound_to_flat_buffers(model)
+    assert not model.param("head.w1").grad.any() and model.flat_grads.any()
     check_bound_to_flat_buffers(KTModel.from_arrays(
         model.config, vocab, model.views(model.copy_arrays()), dtype=np.float64))
     adapted = zero_shot_adapt(model, "new", n_questions=5, n_kcs=3, seed=1)
