@@ -15,8 +15,8 @@ print("== a scalar chain ==")
 x = Tensor(np.array([3.0]), requires_grad=True, name="x")
 with Tape() as tape:
     loss = mean_over_axis(mul(x, x), 0)  # L = x^2
-grads = tape.backward(loss)
-print(f"L = x^2 at x=3  ->  L={loss.item():.1f}, dL/dx={grads[x][0]:.1f}  (expect 6)")
+tape.backward(loss)   # adds dL/dx into x.grad, zeros since x was built
+print(f"L = x^2 at x=3  ->  L={loss.item():.1f}, dL/dx={x.grad[0]:.1f}  (expect 6)")
 
 print("\n== a matrix chain, gradient vs finite differences ==")
 rng = np.random.default_rng(0)
@@ -25,7 +25,7 @@ w = Tensor(rng.normal(size=(3, 3)), requires_grad=True, name="w")
 with Tape() as tape:
     h = sigmoid(matmul(a, w))
     loss = mean_over_axis(mean_over_axis(h, 1), 0)
-grads = tape.backward(loss)
+tape.backward(loss)
 
 h_ = 1e-6
 w.data[0, 0] += h_
@@ -34,7 +34,7 @@ w.data[0, 0] -= 2 * h_
 down = sigmoid(matmul(a, w)).data.mean()
 w.data[0, 0] += h_
 fd = (up - down) / (2 * h_)
-print(f"analytic dL/dw[0,0] = {grads[w][0, 0]:+.8f}")
+print(f"analytic dL/dw[0,0] = {w.grad[0, 0]:+.8f}")
 print(f"finite-difference   = {fd:+.8f}")
 
 print("\n== virtual gates ==")

@@ -56,16 +56,17 @@ class GraphError(RuntimeError):
 class Tensor:
     """Dense row-major array with optional gradient tracking.
 
-    ``grad`` is populated by :meth:`Tape.backward` for leaf tensors
-    (parameters and gates) and accumulates, in place once it exists,
-    across repeated backward calls until :meth:`zero_grad` zeroes it in
-    place. ``node`` is the tape node that produced a non-leaf tensor; a
-    leaf has none.
+    A tensor built with ``requires_grad`` owns its gradient from
+    construction: ``grad``, when given, is the array it accumulates into
+    (a model binds a view of its flat gradient), and zeros of ``data``'s
+    shape otherwise. :meth:`Tape.backward` only adds into it, across
+    repeated calls, until :meth:`zero_grad` zeroes it in place. ``node``
+    is the tape node that produced a non-leaf tensor; a leaf has none.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "name", "node")
 
-    def __init__(self, data, requires_grad=False, name=None, dtype=None):
+    def __init__(self, data, requires_grad=False, name=None, dtype=None, grad=None):
         arr = np.asarray(data)
         if dtype is not None:
             arr = arr.astype(dtype, copy=False)
@@ -73,7 +74,9 @@ class Tensor:
             arr = arr.astype(np.float32)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad = None
+        if grad is None and self.requires_grad:
+            grad = np.zeros_like(arr)
+        self.grad = grad
         self.name = name
         self.node = None
 
@@ -154,8 +157,6 @@ class Tape:
 
     def __init__(self):
         self._nodes = []
-        self._leaves = []
-        self._leaf_ids = set()
 
     def __enter__(self):
         _TAPES.append(self)
@@ -166,19 +167,10 @@ class Tape:
         assert popped is self
         return False
 
-    def _register_leaf(self, t):
-        if id(t) not in self._leaf_ids:
-            self._leaf_ids.add(id(t))
-            self._leaves.append(t)
-
     def backward(self, loss):
-        """Run one reverse pass from a scalar loss.
-
-        Returns a map ``{leaf tensor -> gradient array}`` covering every
-        parameter and gate that appeared on the tape; leaves off the path
-        to the loss get exact zeros. Repeated calls accumulate into
-        ``Tensor.grad``.
-        """
+        """Run one reverse pass from a scalar loss, adding each leaf's
+        gradient into its ``Tensor.grad`` in place; a leaf off the path to
+        the loss is left as it was. Returns nothing."""
         if not isinstance(loss, Tensor) or loss.data.size != 1:
             shape = getattr(loss, "shape", None)
             raise GraphError(f"backward requires a scalar loss, got shape {shape}")
@@ -194,19 +186,10 @@ class Tape:
                 if gi is None or src is None:
                     continue
                 if isinstance(src, Tensor):
-                    if src.grad is None:
-                        src.grad = gi.copy()
-                    else:   # in place: a model's .grad is a view of its flat gradient
-                        src.grad += gi
+                    src.grad += gi
                 else:
                     prev = flow.get(id(src))
                     flow[id(src)] = gi if prev is None else prev + gi
-        grads = {}
-        for leaf in self._leaves:
-            if leaf.grad is None:
-                leaf.grad = np.zeros_like(leaf.data)
-            grads[leaf] = leaf.grad
-        return grads
 
 
 def _record(out, inputs, bwd):
@@ -217,19 +200,11 @@ def _record(out, inputs, bwd):
     """
     if not _TAPES or not any(t.requires_grad for t in inputs):
         return out
-    tape = _TAPES[-1]
-    sources = []
-    for t in inputs:
-        if not t.requires_grad:
-            sources.append(None)
-        elif t.node is None:
-            tape._register_leaf(t)
-            sources.append(t)
-        else:
-            sources.append(t.node)
+    # a leaf's gradient goes to its .grad, a non-leaf's to the node that made it
+    sources = tuple((t.node or t) if t.requires_grad else None for t in inputs)
     out.requires_grad = True
-    out.node = _Node(tuple(sources), bwd)
-    tape._nodes.append(out.node)
+    out.node = _Node(sources, bwd)
+    _TAPES[-1]._nodes.append(out.node)
     return out
 
 

@@ -148,8 +148,11 @@ class ExperimentConfig:
         _check_section(train, _TRAIN_KEYS, "config.train")
         self.train_section = train
 
+        datasets = obj.get("datasets", [])
+        if not isinstance(datasets, list):
+            raise UsageError("config.datasets must be a list")
         self.datasets = []
-        for i, entry in enumerate(obj.get("datasets", [])):
+        for i, entry in enumerate(datasets):
             where = f"config.datasets[{i}]"
             if not isinstance(entry, dict):
                 raise UsageError(f"{where} must be an object")

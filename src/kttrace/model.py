@@ -142,9 +142,7 @@ class KTModel:
         self._params = OrderedDict()
         for (name, data), grad in zip(self.views(flat_params).items(),
                                       self.views(self.flat_grads).values()):
-            t = Tensor(data, requires_grad=True, name=name)
-            t.grad = grad
-            self._params[name] = t
+            self._params[name] = Tensor(data, requires_grad=True, name=name, grad=grad)
 
     # -- construction -------------------------------------------------------
 
@@ -210,13 +208,10 @@ class KTModel:
         return out
 
     def gate_widths(self):
-        d, f = self.config.d_model, self.config.d_ff
-        out = OrderedDict()
-        for i in range(self.config.n_layers):
-            out[(i, "attention")] = d
-            out[(i, "intermediate")] = f
-            out[(i, "output")] = d
-        return out
+        """Map (block, sublayer kind) -> units its gate multiplies: the
+        length of the sublayer's output bias, the last of its parameters."""
+        return OrderedDict((lid, self._params[names[-1]].shape[0])
+                           for lid, names in self.gated_layers().items())
 
     def make_gates(self):
         """All-ones gate leaves, one per gated sublayer; only their grads are read."""

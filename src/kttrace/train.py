@@ -238,12 +238,9 @@ def save_checkpoint(ckpt, path):
     """
     manifest = []
     offset = 0
-    chunks = []
     for name, arr in ckpt.params.items():
-        raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
         manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        offset += len(raw)
-        chunks.append(raw)
+        offset += 4 * arr.size
     header_obj = {
         "config": ckpt.config.to_json(),
         "vocab": ckpt.vocab.to_json(),
@@ -251,15 +248,18 @@ def save_checkpoint(ckpt, path):
         "manifest": manifest,
     }
     header = json.dumps(header_obj, sort_keys=True).encode("utf-8")
-    payload = b"".join(chunks)
-    digest = hashlib.sha256(header + payload).digest()
+    # each array is hashed and written from its own buffer: no payload copy
+    digest = hashlib.sha256(header)
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
-        fh.write(payload)
-        fh.write(digest)
+        for arr in ckpt.params.values():
+            raw = np.ascontiguousarray(arr, dtype="<f4")
+            digest.update(raw)
+            fh.write(raw)
+        fh.write(digest.digest())
 
 
 def load_checkpoint(path):
@@ -296,9 +296,9 @@ def load_checkpoint(path):
         raise CheckpointTruncatedError(f"{path}: need {expected} bytes, found {len(blob)}")
     if len(blob) > expected:
         raise CheckpointFormatError(f"{path}: {len(blob) - expected} bytes of trailing junk")
-    payload = blob[16 + header_len:16 + header_len + payload_len]
-    digest = blob[expected - _DIGEST_LEN:]
-    if hashlib.sha256(header + payload).digest() != digest:
+    # the header and payload are contiguous in the blob: hash them in place
+    digest = hashlib.sha256(memoryview(blob)[16:expected - _DIGEST_LEN]).digest()
+    if digest != blob[expected - _DIGEST_LEN:]:
         raise CheckpointDigestError(f"{path}: SHA-256 digest mismatch")
 
     try:
@@ -322,8 +322,9 @@ def load_checkpoint(path):
 
     params = OrderedDict()
     for m, size in zip(manifest, sizes):
-        raw = payload[m["offset"]:m["offset"] + size]
-        params[m["name"]] = np.frombuffer(raw, dtype="<f4").reshape(m["shape"]).copy()
+        raw = np.frombuffer(blob, dtype="<f4", count=size // 4,
+                            offset=16 + header_len + m["offset"])
+        params[m["name"]] = raw.reshape(m["shape"]).copy()
     return Checkpoint(config, vocab, params, metadata)
 
 

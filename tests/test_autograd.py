@@ -281,8 +281,8 @@ def test_square_gradient():
     x = Tensor(np.array([3.0]), requires_grad=True)
     with Tape() as tape:
         loss = scalarize(mul(x, x))
-    grads = tape.backward(loss)
-    np.testing.assert_allclose(grads[x], [6.0])
+    assert tape.backward(loss) is None
+    np.testing.assert_allclose(x.grad, [6.0])
 
 
 def test_dead_branch_gradient_is_exactly_zero():
@@ -292,8 +292,8 @@ def test_dead_branch_gradient_is_exactly_zero():
         used = mul(x, x)
         mul(dead, dead)  # recorded but never feeds the loss
         loss = scalarize(used)
-    grads = tape.backward(loss)
-    assert (grads[dead] == 0.0).all()
+    tape.backward(loss)
+    assert (dead.grad == 0.0).all()
 
 
 def test_repeated_backward_accumulates():
@@ -402,10 +402,11 @@ def test_backward_reuses_no_buffer_it_does_not_own(op):
     for a, before in zip(inputs, inputs_before):
         np.testing.assert_array_equal(a, before)
 
-    once = {t: grad.copy() for t, grad in tape.backward(loss).items()}
-    twice = tape.backward(loss)
-    for t in leaves:
-        np.testing.assert_array_equal(twice[t], 2.0 * once[t])
+    tape.backward(loss)
+    once = [t.grad.copy() for t in leaves]
+    tape.backward(loss)
+    for t, grad in zip(leaves, once):
+        np.testing.assert_array_equal(t.grad, 2.0 * grad)
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +443,8 @@ def test_tape_keeps_an_input_only_if_its_backward_reads_it(op):
     del out
     gc.collect()
     assert (alive() is not None) == reads
-    grads = tape.backward(loss)
-    assert grads[leaf].shape == leaf.shape and np.abs(grads[leaf]).sum() > 0
+    tape.backward(loss)
+    assert leaf.grad.shape == leaf.shape and np.abs(leaf.grad).sum() > 0
 
 
 def check_retained_bytes(T):
@@ -516,10 +517,10 @@ def check_op_grads(build, arrays, rel=1e-4, h=1e-5):
     tensors = {name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()}
     with Tape() as tape:
         loss = build(tensors)
-    grads = tape.backward(loss)
+    tape.backward(loss)
     fd = finite_diff(lambda: build(tensors).item(), arrays, h=h)
     for name, t in tensors.items():
-        err = max_rel_err(grads[t], fd[name])
+        err = max_rel_err(t.grad, fd[name])
         assert err < rel, f"{name}: rel err {err:.3e}"
 
 
@@ -675,7 +676,7 @@ def test_grad_gate_through_composition():
     with Tape() as tape:
         h = sigmoid(matmul(xt, wt))
         loss = scalarize(gate_apply(h, gate))
-    grads = tape.backward(loss)
+    tape.backward(loss)
 
     def loss_fn(gv):
         hh = 1.0 / (1.0 + np.exp(-(x @ w)))
@@ -688,7 +689,7 @@ def test_grad_gate_through_composition():
         up[i] += h_
         down[i] -= h_
         fd[i] = (loss_fn(up) - loss_fn(down)) / (2 * h_)
-    assert max_rel_err(grads[gate], fd) < 1e-4
+    assert max_rel_err(gate.grad, fd) < 1e-4
 
 
 def test_determinism_bitwise():

@@ -176,6 +176,26 @@ PIPELINE_DATASETS = [
 ]
 
 
+@pytest.mark.parametrize("value", [5, None, True, "abc", {"name": "rich0"}])
+def test_datasets_that_is_not_a_list_is_usage_error(tmp_path, value):
+    with pytest.raises(UsageError, match=r"^config.datasets must be a list$"):
+        ExperimentConfig.load(write_config(tmp_path, datasets=value))
+
+
+@settings(deadline=None, max_examples=60)
+@example(key="datasets", value=5)
+@example(key="seed", value=-1)
+@given(st.sampled_from(["seed", "paths", "model", "train", "datasets", "synthetic"]),
+       JSON_VALUES)
+def test_any_value_at_any_top_level_key_ends_in_an_exit_code(key, value):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cfg = str(write_config(Path(tmp), **{"datasets": PIPELINE_DATASETS[:1], key: value}))
+        for argv in (["synth", "--dataset", "rich0"], ["preprocess"], ["pretrain"]):
+            # an exception main does not turn into an exit code fails the test
+            assert main([*argv, "--config", cfg]) in (0, 1, 2), argv
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """Workdir with prepared data, a pre-trained checkpoint and a target profile."""

@@ -267,6 +267,27 @@ def test_backward_batch_adds_into_grad():
         assert np.abs(t.grad - 2 * g).max() <= 1e-12 * np.abs(g).max(), t.name
 
 
+def test_leaves_own_their_gradients_from_construction():
+    model, _ = build_tiny(n_layers=2, seed=6)
+    gates = model.make_gates()
+    owned = {lid: gate.grad for lid, gate in gates.items()}
+    for lid, gate in gates.items():
+        assert gate.grad.shape == gate.shape and not gate.grad.any(), lid
+    for _ in range(3):
+        model.backward_batch(classed_batch(), 0, gates=gates)
+    for lid, gate in gates.items():
+        assert gate.grad is owned[lid] and gate.grad.any(), lid
+    for name, t in model.parameters().items():
+        assert np.shares_memory(t.grad, model.flat_grads), name
+
+
+def test_gate_widths_are_the_gated_outputs_widths():
+    model, _ = build_tiny(n_layers=2, d_model=4, d_ff=6)
+    assert list(model.gate_widths().items()) == [
+        ((i, kind), width) for i in range(2)
+        for kind, width in (("attention", 4), ("intermediate", 6), ("output", 4))]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_model_runs_in_its_own_dtype(dtype):
     model, vocab = build_tiny(dtype=dtype, n_layers=2)
