@@ -15,7 +15,7 @@ print("== a scalar chain ==")
 x = Tensor(np.array([3.0]), requires_grad=True, name="x")
 with Tape() as tape:
     loss = mean_over_axis(mul(x, x), 0)  # L = x^2
-tape.backward(loss)   # adds dL/dx into x.grad, zeros since x was built
+tape.backward(loss)   # adds dL/dx into x.grad, which starts as zeros
 print(f"L = x^2 at x=3  ->  L={loss.item():.1f}, dL/dx={x.grad[0]:.1f}  (expect 6)")
 
 print("\n== a matrix chain, gradient vs finite differences ==")
