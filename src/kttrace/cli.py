@@ -209,6 +209,13 @@ class ExperimentConfig:
     def train_config(self, stage):
         return TrainConfig(seed=stage_seed(self.seed, stage), **self.train_section)
 
+    def batch_size(self):
+        """``train.batch_size`` or its default; below 1 is a ValueError (exit 2)."""
+        size = self.train_section.get("batch_size", TrainConfig().batch_size)
+        if size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {size}")
+        return size
+
     def model_config(self):
         section = dict(self.model_section)
         if "preset" in section:
@@ -389,8 +396,7 @@ def cmd_importance(cfg, args):
     ckpt = load_checkpoint(cfg.resolve(args.checkpoint))
     prepared = read_prepared(cfg, args.dataset, ("train",))
     model = adapt_if_needed(ckpt.build_model(), prepared, cfg.seed)
-    batch_size = cfg.train_section.get("batch_size", TrainConfig().batch_size)
-    profile = compute_importance(model, prepared, batch_size=batch_size)
+    profile = compute_importance(model, prepared, batch_size=cfg.batch_size())
     out = cfg.output(args.out, "profiles", f"{args.dataset}.json")
     profile.save(out)
     return {"command": "importance", "dataset": args.dataset, "profile": str(out),
@@ -404,15 +410,12 @@ def cmd_finetune(cfg, args):
     profile = None
     if args.profile:
         profile = ImportanceProfile.load(cfg.resolve(args.profile))
-    train_cfg = cfg.train_config("finetune")
-    tuned = fit(model, [prepared], train_cfg, profile=profile, stage="finetune")
+    tuned = fit(model, [prepared], cfg.train_config("finetune"), profile, "finetune")
     out = cfg.output(args.out, "checkpoints", f"finetuned-{args.dataset}.lrkt")
     save_checkpoint(tuned, out)
 
-    reports = evaluate(model,
-                       [(prepared.spec.name, prepared.spec.dataset_index, "test",
-                         prepared.splits.test)],
-                       batch_size=train_cfg.batch_size)
+    reports = evaluate(model, [(prepared.spec.name, prepared.spec.dataset_index, "test",
+                                prepared.splits.test)])
     rdir = cfg.ensure_dir("reports")
     write_reports_json(reports, rdir / f"finetune-{args.dataset}.json")
     write_reports_csv(reports, rdir / f"finetune-{args.dataset}.csv")
@@ -423,19 +426,19 @@ def cmd_finetune(cfg, args):
 
 
 def cmd_eval(cfg, args):
+    cfg.batch_size()   # scoring does not batch, but a bad config is still an error
     ckpt = load_checkpoint(cfg.resolve(args.checkpoint))
     names = [args.dataset] if args.dataset else [
         e["name"] for e in cfg.datasets if cfg.prepared_dir(e["name"]).exists()]
     if not names:
         raise UsageError("no prepared datasets to evaluate")
     reports = []
-    batch_size = cfg.train_section.get("batch_size", TrainConfig().batch_size)
     base = ckpt.build_model()
     for prepared in (read_prepared(cfg, name, ("valid", "test")) for name in names):
         model = adapt_if_needed(base, prepared, cfg.seed)
         splits = [(prepared.spec.name, prepared.spec.dataset_index, split, segs)
                   for split, segs in prepared.splits if segs]
-        reports.extend(evaluate(model, splits, batch_size=batch_size))
+        reports.extend(evaluate(model, splits))
     out_prefix = cfg.output(args.out, "reports", "eval")
     write_reports_json(reports, f"{out_prefix}.json")
     write_reports_csv(reports, f"{out_prefix}.csv")

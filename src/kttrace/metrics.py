@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import in_batches, pack_rows
+from .data import pack_rows
 
 
 @dataclass
@@ -88,46 +88,41 @@ def accuracy(probs, labels):
     return float((preds == (labels == 1)).mean())
 
 
-def collect_predictions(model, segments, dataset_index, batch_size=64):
+def collect_predictions(model, segments, dataset_index):
     """Pooled (probability, label) pairs over all scorable steps of a split.
 
     The first interaction of each segment has no history and is excluded;
-    padded positions are excluded by the batch mask. Segments are scored
-    in length order (shortest first, ties in split order), ``batch_size``
-    at a time, each batch packed into shared rows by ``pack_rows`` as in
-    training, so little is padded. The pairs come in that segment order,
-    each segment's steps in time order.
+    padded positions are excluded by the batch mask. The whole split goes
+    to ``pack_rows`` at once, so it runs in as few ``TAPE_CELLS`` parts as
+    its lengths allow, whatever the training batch size. The pairs come
+    segment by segment, shortest first (ties in split order), each
+    segment's steps in time order. An empty split is a ValueError.
     """
-    if not segments:
-        raise ValueError("cannot evaluate an empty split")
     ps, ys, lens = [], [], []
-    for run in in_batches(sorted(segments, key=len), batch_size):
-        for batch in pack_rows(run, model.vocab, dataset_index, dtype=model.dtype):
-            probs = model.predict_batch(batch)
-            keep = batch.pred_mask[..., 0] == 1.0
-            ps.append(probs[keep])
-            ys.append(batch.targets[..., 0][keep])
-            lens.append(np.repeat(batch.lengths, batch.lengths - 1))
+    for batch in pack_rows(segments, model.vocab, dataset_index, dtype=model.dtype):
+        probs = model.predict_batch(batch)
+        keep = batch.pred_mask[..., 0] == 1.0
+        ps.append(probs[keep])
+        ys.append(batch.targets[..., 0][keep])
+        lens.append(np.repeat(batch.lengths, batch.lengths - 1))
     # a part's pairs come segment by segment in slot order, and slots keep
-    # the run's order among equal lengths, so a stable sort by length
-    # restores the segments' order: pairs do not depend on the packing
+    # the split's order among equal lengths, so a stable sort by length
+    # puts them shortest first: pairs do not depend on the packing
     order = np.argsort(np.concatenate(lens), kind="stable")
     return np.concatenate(ps)[order], np.concatenate(ys)[order].astype(np.int64)
 
 
-def evaluate(model, named_splits, batch_size=64):
+def evaluate(model, named_splits):
     """One MetricsReport per (dataset, split) entry.
 
-    ``named_splits`` is an iterable of
-    (dataset_name, dataset_index, split_name, segments).
+    ``named_splits`` is an iterable of (dataset_name, dataset_index,
+    split_name, segments); each split is scored whole.
     """
     reports = []
     for dataset_name, dataset_index, split_name, segments in named_splits:
-        probs, labels = collect_predictions(model, segments, dataset_index, batch_size)
-        reports.append(MetricsReport(
-            dataset=dataset_name, split=split_name,
-            auc=auc(probs, labels),
-            accuracy=accuracy(probs, labels), n_predictions=len(labels)))
+        probs, labels = collect_predictions(model, segments, dataset_index)
+        reports.append(MetricsReport(dataset_name, split_name, auc(probs, labels),
+                                     accuracy(probs, labels), len(labels)))
     return reports
 
 

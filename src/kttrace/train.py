@@ -179,14 +179,14 @@ def _grad_norm(grads):
 
 
 def clip_gradients(grads, max_norm):
-    """Scale a flat gradient in place if its L2 norm exceeds ``max_norm``.
+    """Scale a flat gradient in place if its finite L2 norm exceeds ``max_norm``.
 
-    Returns the gradient and its norm before clipping.
+    Returns the gradient and its norm before clipping; a non-finite norm
+    leaves the gradient as it is, for the caller to reject.
     """
     norm = _grad_norm(grads)
-    if norm <= max_norm or norm == 0.0:
-        return grads, norm
-    grads *= grads.dtype.type(max_norm / norm)
+    if norm > max_norm and math.isfinite(norm):
+        grads *= grads.dtype.type(max_norm / norm)
     return grads, norm
 
 
@@ -364,7 +364,8 @@ def importance_scale(model, profile):
 def fit(model, datasets, config, profile=None, stage="train"):
     """Train ``model`` in place; return its best-validation checkpoint.
 
-    On return the model holds the best parameters, which the checkpoint
+    Every epoch ends by scoring each whole valid split (``evaluate``). On
+    return the model holds the best parameters, which the checkpoint
     stores as float32. ``stage`` only labels the log and the metadata.
     """
     entries = {(name, idx) for name, idx, _, _ in model.vocab.entries}
@@ -410,8 +411,7 @@ def fit(model, datasets, config, profile=None, stage="train"):
             adam.step(grads, frozen=frozen)
             step += 1
         reports = evaluate(model, [(d.spec.name, d.spec.dataset_index, "valid",
-                                    d.splits.valid) for d in datasets],
-                           batch_size=config.batch_size)
+                                    d.splits.valid) for d in datasets])
         val_auc = float(np.mean([r.auc for r in reports]))
         val_history.append(val_auc)
         improved, should_stop = stopper.update(val_auc, epoch)

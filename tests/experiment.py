@@ -42,7 +42,7 @@ def make_dataset(name, index, n_students, n_questions, n_kcs, seed):
 def test_auc_of(ckpt, prepared):
     (report,) = evaluate(ckpt.build_model(),
                          [(prepared.spec.name, prepared.spec.dataset_index,
-                           "test", prepared.splits.test)], batch_size=128)
+                           "test", prepared.splits.test)])
     return report.auc
 
 

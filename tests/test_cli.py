@@ -271,6 +271,20 @@ def test_bad_batch_size_is_data_error_naming_it(pipeline, capsys, caplog, tmp_pa
     assert f"batch_size must be >= 1, got {batch_size}" in caplog.text
 
 
+def test_eval_results_do_not_depend_on_the_batch_size(pipeline, capsys, tmp_path):
+    root, ckpt, _ = pipeline
+    results = []
+    for batch_size in (1, 64):
+        path = write_config(root, name=f"batch-{batch_size}.json",
+                            datasets=PIPELINE_DATASETS, train={"batch_size": batch_size})
+        code, summary = run_cli(capsys, "eval", "--config", str(path), "--checkpoint",
+                                str(ckpt), "--out", str(tmp_path / f"eval-{batch_size}"))
+        assert code == 0
+        results.append(summary["results"])
+    assert results[0] == results[1]
+    assert {r["dataset"] for r in results[0]} == {"rich0", "low"}
+
+
 def test_eval_of_all_datasets_matches_one_call_per_dataset(pipeline, capsys):
     root, ckpt, _ = pipeline
     cfg = str(root / "config.json")

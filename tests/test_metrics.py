@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from kttrace.data import SyntheticConfig, generate_synthetic, pack_segments, preprocess
+from kttrace.data import (
+    TAPE_CELLS,
+    SyntheticConfig,
+    generate_synthetic,
+    pack_rows,
+    pack_segments,
+    preprocess,
+)
+from kttrace.model import KTModel
 from kttrace.metrics import (
     MetricsReport,
     accuracy,
@@ -13,7 +21,7 @@ from kttrace.metrics import (
     write_reports_csv,
     write_reports_json,
 )
-from helpers import build_tiny, hand_sequences
+from helpers import build_tiny, hand_sequences, seq_of
 from oracles import pairwise_auc
 
 
@@ -105,7 +113,7 @@ def test_report_validation():
 def test_collect_predictions_matches_hand_enumeration():
     model, vocab = build_tiny()
     seqs = hand_sequences()  # responses [1,0,1] and [0,1,1,0]
-    probs, labels = collect_predictions(model, seqs, dataset_index=0, batch_size=8)
+    probs, labels = collect_predictions(model, seqs, dataset_index=0)
     assert labels.tolist() == [0, 1, 1, 1, 0]
     batch = pack_segments(seqs, vocab, 0, dtype=model.dtype)
     full = model.predict_batch(batch)
@@ -119,11 +127,44 @@ def test_collect_predictions_pools_the_pairs_of_one_pack():
     batch = pack_segments(segs, vocab, 0, dtype=np.float64)
     keep = batch.pred_mask[..., 0] == 1.0
     want_p, want_y = model.predict_batch(batch)[keep], batch.targets[..., 0][keep]
-    probs, labels = collect_predictions(model, segs, dataset_index=0, batch_size=8)
+    probs, labels = collect_predictions(model, segs, dataset_index=0)
     # the same multiset of (label, probability) pairs, in another order
     got, want = np.lexsort((probs, labels)), np.lexsort((want_p, want_y))
     np.testing.assert_array_equal(labels[got], want_y[want])
     assert np.abs(probs[got] - want_p[want]).max() <= 1e-12 * want_p.max()
+
+
+def test_collect_predictions_equal_scoring_each_segment_alone():
+    cfg = SyntheticConfig(n_students=200, n_questions=12, n_kcs=6, mean_seq_len=10, seed=4)
+    segs = preprocess(generate_synthetic(cfg)[0], seed=5).train
+    model, vocab = build_tiny(seed=7, n_layers=2, max_seq_len=200)
+    assert len(pack_rows(segs, vocab, 0, dtype=np.float64)) >= 2
+    probs, labels = collect_predictions(model, segs, dataset_index=0)
+    # shortest segment first, ties in split order, each alone in its own pack
+    alone = [model.predict_batch(pack_segments([seg], vocab, 0, dtype=np.float64))[0, :-1]
+             for seg in sorted(segs, key=len)]
+    want_y = np.concatenate([seg.responses[1:] for seg in sorted(segs, key=len)])
+    want_p = np.concatenate(alone)
+    np.testing.assert_array_equal(labels, want_y)
+    np.testing.assert_allclose(probs, want_p, rtol=1e-12, atol=0)
+
+
+def test_a_split_within_tape_cells_is_one_forward(monkeypatch):
+    segs = [seq_of(f"s{i}", [(i % 12, (i % 6,), (i + j) % 2, j) for j in range(5)])
+            for i in range(80)]
+    model, vocab = build_tiny()
+    (part,) = pack_rows(segs, vocab, 0)
+    assert part.questions.size <= TAPE_CELLS and len(segs) > 64
+    calls = []
+    original = KTModel.predict_batch
+
+    def counted(self, batch):
+        calls.append(batch)
+        return original(self, batch)
+
+    monkeypatch.setattr(KTModel, "predict_batch", counted)
+    probs, labels = collect_predictions(model, segs, dataset_index=0)
+    assert len(calls) == 1 and len(labels) == 80 * 4
 
 
 def test_constant_predictor_accuracy_is_majority_rate():

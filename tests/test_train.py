@@ -110,6 +110,15 @@ def test_clip_gradients():
     assert total == pytest.approx(2.5, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_clip_gradients_leaves_a_non_finite_gradient_unscaled():
+    grads = np.array([3.0, np.inf, -4.0], dtype=np.float32)
+    before = grads.tobytes()
+    clipped, norm = clip_gradients(grads, 5.0)
+    assert norm == np.inf and clipped is grads
+    assert grads.tobytes() == before
+
+
 gradient_runs = st.integers(0, 2**32 - 1).flatmap(lambda seed: st.tuples(
     st.just(seed),
     st.lists(st.tuples(st.integers(1, 4), st.integers(1, 5)), min_size=1, max_size=4),
@@ -477,6 +486,7 @@ def test_divergence_reports_epoch_and_history():
         fit(model, [prepared], quiet_config(max_epochs=1))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")   # clipping must not scale inf by 0
 @pytest.mark.parametrize("clip_norm", [5.0, None], ids=["clipped", "unclipped"])
 @pytest.mark.parametrize("where", ["mid-run", "last-step"])
 def test_non_finite_gradient_ends_fit_before_the_update(monkeypatch, where, clip_norm):
