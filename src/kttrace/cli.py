@@ -410,7 +410,7 @@ def cmd_finetune(cfg, args):
     profile = None
     if args.profile:
         profile = ImportanceProfile.load(cfg.resolve(args.profile))
-    tuned = fit(model, [prepared], cfg.train_config("finetune"), profile, "finetune")
+    tuned = fit(model, [prepared], cfg.train_config("finetune"), profile=profile, stage="finetune")
     out = cfg.output(args.out, "checkpoints", f"finetuned-{args.dataset}.lrkt")
     save_checkpoint(tuned, out)
 

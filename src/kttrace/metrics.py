@@ -121,8 +121,10 @@ def evaluate(model, named_splits):
     reports = []
     for dataset_name, dataset_index, split_name, segments in named_splits:
         probs, labels = collect_predictions(model, segments, dataset_index)
-        reports.append(MetricsReport(dataset_name, split_name, auc(probs, labels),
-                                     accuracy(probs, labels), len(labels)))
+        reports.append(MetricsReport(
+            dataset=dataset_name, split=split_name,
+            auc=auc(probs, labels),
+            accuracy=accuracy(probs, labels), n_predictions=len(labels)))
     return reports
 
 

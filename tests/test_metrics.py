@@ -118,6 +118,8 @@ def test_collect_predictions_matches_hand_enumeration():
     batch = pack_segments(seqs, vocab, 0, dtype=model.dtype)
     full = model.predict_batch(batch)
     np.testing.assert_array_equal(probs, np.concatenate([full[0, :2], full[1, :3]]))
+    with pytest.raises(ValueError):
+        collect_predictions(model, [], dataset_index=0)
 
 
 def test_collect_predictions_pools_the_pairs_of_one_pack():
@@ -140,12 +142,11 @@ def test_collect_predictions_equal_scoring_each_segment_alone():
     model, vocab = build_tiny(seed=7, n_layers=2, max_seq_len=200)
     assert len(pack_rows(segs, vocab, 0, dtype=np.float64)) >= 2
     probs, labels = collect_predictions(model, segs, dataset_index=0)
-    # shortest segment first, ties in split order, each alone in its own pack
-    alone = [model.predict_batch(pack_segments([seg], vocab, 0, dtype=np.float64))[0, :-1]
-             for seg in sorted(segs, key=len)]
-    want_y = np.concatenate([seg.responses[1:] for seg in sorted(segs, key=len)])
-    want_p = np.concatenate(alone)
-    np.testing.assert_array_equal(labels, want_y)
+    ordered = sorted(segs, key=len)   # shortest first, ties in split order
+    want_p = np.concatenate([
+        model.predict_batch(pack_segments([seg], vocab, 0, dtype=np.float64))[0, :-1]
+        for seg in ordered])
+    np.testing.assert_array_equal(labels, np.concatenate([s.responses[1:] for s in ordered]))
     np.testing.assert_allclose(probs, want_p, rtol=1e-12, atol=0)
 
 
@@ -154,7 +155,7 @@ def test_a_split_within_tape_cells_is_one_forward(monkeypatch):
             for i in range(80)]
     model, vocab = build_tiny()
     (part,) = pack_rows(segs, vocab, 0)
-    assert part.questions.size <= TAPE_CELLS and len(segs) > 64
+    assert part.questions.size <= TAPE_CELLS and len(segs) > 64   # more than a default training batch
     calls = []
     original = KTModel.predict_batch
 
