@@ -16,7 +16,11 @@ key prefix, in the forward and in the backward, so neither pass builds
 a [batch, heads, T, T] array and the tape keeps only the tiles'
 probabilities. This is the tiling of FlashAttention (Dao et al. 2022)
 over queries instead of keys, so each
-tile's plain softmax is exact and needs no online rescaling. A test
+tile's plain softmax is exact and needs no online rescaling. On rows
+of 64 to 256 values numpy reduces along the last axis 3-4x slower than
+along axis -2 or as a BLAS product, so attention scores are key-major
+and layer norm's row sums are products with a ones column; a test pins
+their bits at one and two BLAS threads. A test
 fails if any public function here goes unused by a gated training step,
 so dead ops do not accumulate. Gates are plain all-ones
 leaf tensors multiplied into a layer's output, so their gradients can be
@@ -253,7 +257,8 @@ def matmul(a, b, transpose_b=False):
     """``a @ b``, or ``a @ b.T`` when ``transpose_b``.
 
     ``b`` is a 2-D weight shared across the leading axes of ``a``, which
-    is at least 2-D.
+    is at least 2-D. The forward's stacked product takes a C-contiguous
+    ``b.T``: same bits, twice as fast at [4, 64, 64] as the view.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim != 2:
@@ -264,7 +269,7 @@ def matmul(a, b, transpose_b=False):
         raise ShapeError(f"matmul: inner dimensions of {a.shape} and {b.shape} do not match"
                          + (" (transpose_b)" if transpose_b else ""))
     with np.errstate(over="ignore", invalid="ignore"):
-        data = np.matmul(a.data, b_eff)
+        data = np.matmul(a.data, np.ascontiguousarray(b_eff))
     _check_finite("matmul", data)
     out = Tensor(data)
     a2 = a.data.reshape(-1, a.shape[-1]) if b.requires_grad else None
@@ -357,7 +362,8 @@ def sigmoid(x):
 def layer_norm(x, gain, bias, eps=LN_EPS):
     """Normalize the last axis to zero mean / unit variance, then affine.
 
-    A constant row has zero variance; with the epsilon inside the square
+    Its four row sums (two per pass) are products with a ones column. A
+    constant row has zero variance; with the epsilon inside the square
     root its normalized output is exactly zero rather than a blow-up.
     """
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
@@ -365,23 +371,22 @@ def layer_norm(x, gain, bias, eps=LN_EPS):
     if gain.shape != (width,) or bias.shape != (width,):
         raise ShapeError(f"layer_norm: gain/bias {gain.shape}/{bias.shape} "
                          f"must match feature width {width}")
-    # np.add.reduce(...) / width is what ndarray.mean computes, bit for bit,
-    # without its Python-level dispatch
-    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / width
+    ones = np.ones((width, 1), dtype=x.dtype)   # row sums as products: [..., 1]
+    mu = (x.data @ ones) / width
     centered = x.data - mu
-    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / width
+    var = ((centered * centered) @ ones) / width
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    data = xhat * gain.data + bias.data
+    xhat = centered   # in place: a [B, T, d] temporary fewer per step, same bits
+    xhat *= inv
+    data = xhat * gain.data
+    data += bias.data
     _check_finite("layer_norm", data)
     out = Tensor(data)
     gamma = gain.data
 
     def bwd(g):
         dxhat = g * gamma
-        dx = inv * (dxhat
-                    - np.add.reduce(dxhat, axis=-1, keepdims=True) / width
-                    - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / width))
+        dx = inv * (dxhat - (dxhat @ ones) / width - xhat * (((dxhat * xhat) @ ones) / width))
         dgain = _reduce_to(g * xhat, gamma.shape)
         dbias = _reduce_to(g, gamma.shape)
         return dx, dgain, dbias
@@ -433,24 +438,39 @@ def mean_over_axis(x, axis):
     return _record(out, (x,), bwd)
 
 
-def causal_attention(q, k, v, n_head, starts=None):
+def segment_mask(starts, dtype):
+    """Key-major additive mask [batch, 1, key, query] for segments that
+    begin at column ``starts`` [batch, time]: 0 where key j lies in
+    ``[starts[t], t]`` for query t, else ``MASK_FILL``. None when every
+    segment starts at column 0, where the causal mask alone does."""
+    starts = np.asarray(starts)
+    if not starts.any():
+        return None
+    cols = np.arange(starts.shape[1])
+    outside = (cols[:, None] < starts[:, None, :]) | (cols[:, None] > cols)
+    return np.where(outside, np.asarray(MASK_FILL, dtype), 0)[:, None]
+
+
+def causal_attention(q, k, v, n_head, mask=None):
     """Multi-head scaled dot-product attention inside causal segments.
 
-    Inputs are [batch, time, d_model]; ``starts`` [batch, time] gives the
-    column where each position's segment begins (all zero by default), and
-    position t attends to keys ``[starts[t], t]`` only, itself included,
-    so several segments can share a row without seeing each other. The
-    queries are cut into ``ceil(T / ATTN_TILE)`` equal tiles (the last may
-    be shorter). Tile ``[s, e)`` scores only keys ``[0, e)``, its whole
-    causal prefix, so a plain softmax per tile is exact. Keys past each
-    query get a large negative constant, added to the tile's diagonal
-    block only; a tile in which some query's segment starts after column
-    0 adds it over all its keys instead, to the keys before that start as
-    well. The constant underflows to exactly zero probability, so
-    gradients through masked keys are exactly zero too. The tape keeps
-    the tiles' probabilities, sum(tile * e) cells instead of T*T (62.5 %
-    at T = 200); the backward walks the same tiles, so no array of
-    [B, H, T, T] cells is ever built.
+    Inputs are [batch, time, d_model]. Without ``mask`` position t attends
+    to keys ``[0, t]``; with ``segment_mask(starts)``, built once per batch
+    and shared by every block, to keys ``[starts[t], t]`` only, so several
+    segments can share a row without seeing each other. The queries are
+    cut into ``ceil(T / ATTN_TILE)`` equal tiles (the last may be shorter).
+    Tile ``[s, e)`` scores only keys ``[0, e)``, its whole causal prefix,
+    so a plain softmax per tile is exact. Scores are key-major,
+    [batch, heads, key, query] = k @ qᵀ, so the softmax's max reduces
+    along axis -2 and its sum is a product with a ones row, both faster
+    in numpy than reductions along a short last axis. Without ``mask`` a
+    large negative constant goes to the keys past each query in the
+    tile's diagonal block only; with it, the mask's slice is added over
+    all the tile's keys. The constant underflows to exactly zero
+    probability, so gradients through masked keys are exactly zero too.
+    The tape keeps the tiles' probabilities, sum(tile * e) cells instead
+    of T*T (62.5 % at T = 200), and never the mask; the backward walks
+    the same tiles, so no array of [B, H, T, T] cells is ever built.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if not (q.shape == k.shape == v.shape) or q.ndim != 3:
@@ -459,16 +479,17 @@ def causal_attention(q, k, v, n_head, starts=None):
     B, T, D = q.shape
     if D % n_head != 0:
         raise ShapeError(f"causal_attention: d_model {D} not divisible by n_head {n_head}")
-    if starts is not None and np.shape(starts) != (B, T):
-        raise ShapeError(f"causal_attention: starts {np.shape(starts)} must be [B, T] = "
-                         f"{(B, T)}")
+    if mask is not None and mask.shape != (B, 1, T, T):
+        raise ShapeError(f"causal_attention: mask {mask.shape} must be [B, 1, T, T] = "
+                         f"{(B, 1, T, T)}")
     dh = D // n_head
     # a float64 scalar would promote float32 scores to float64
     scale = q.dtype.type(1.0 / np.sqrt(dh))
     n_tiles = -(-T // ATTN_TILE)
     size = -(-T // n_tiles)   # ceil(T / n_tiles) rows, so the tiles are near equal
     tiles = [(s, min(s + size, T)) for s in range(0, T, size)]
-    mask = np.triu(np.full((size, size), MASK_FILL, dtype=q.dtype), k=1)
+    diagonal = np.tril(np.full((size, size), MASK_FILL, dtype=q.dtype), k=-1)
+    ones = np.ones((1, T), dtype=q.dtype)
 
     def heads(x):   # a [B, H, T, dh] view of a [B, T, D] array
         return x.reshape(B, T, n_head, dh).transpose(0, 2, 1, 3)
@@ -479,44 +500,42 @@ def causal_attention(q, k, v, n_head, starts=None):
     probs = []
     with np.errstate(over="ignore", invalid="ignore"):
         for s, e in tiles:
-            # a tile's scores become its probabilities in place
-            p = np.matmul(qh[:, :, s:e], np.swapaxes(kh[:, :, :e], -1, -2))
+            # a tile's [B, H, e, e - s] scores become its probabilities in place
+            p = np.matmul(kh[:, :, :e], np.swapaxes(qh[:, :, s:e], -1, -2))
             p *= scale
-            if starts is not None and starts[:, s:e].any():
-                keys = np.arange(e)
-                outside = (keys < starts[:, s:e, None]) | (keys > np.arange(s, e)[:, None])
-                p += np.where(outside, q.dtype.type(MASK_FILL), 0)[:, None]
+            if mask is None:
+                p[:, :, s:] += diagonal[:e - s, :e - s]
             else:
-                p[..., s:] += mask[:e - s, :e - s]
-            p -= p.max(axis=-1, keepdims=True)
+                p += mask[:, :, :e, s:e]
+            p -= p.max(axis=-2, keepdims=True)
             np.exp(p, out=p)
-            p /= p.sum(axis=-1, keepdims=True)
-            np.matmul(p, vh[:, :, :e], out=ctx[:, :, s:e])
+            p /= np.matmul(ones[:, :e], p)
+            np.matmul(np.swapaxes(p, -1, -2), vh[:, :, :e], out=ctx[:, :, s:e])
             probs.append(p)
     _check_finite("causal_attention", data)
     out = Tensor(data)
 
     def bwd(g):
         go = heads(g)
-        # sum_j dP_ij P_ij = go_i . ctx_i, since dP_ij = go_i . v_j; ctx is
+        # sum_k dP_kt P_kt = go_t . ctx_t, since dP_kt = go_t . v_k; ctx is
         # a view of the output, which the output projection keeps anyway
-        inner = np.einsum("bhtd,bhtd->bht", go, ctx)[..., None]
+        inner = np.einsum("bhtd,bhtd->bht", go, ctx)[:, :, None]
         gq, gk, gv = (np.empty((B, T, D), dtype=g.dtype) for _ in range(3))
         gqh, gkh, gvh = heads(gq), heads(gk), heads(gv)
         # last tile first: it reaches every key, so it sets gk and gv, and
         # each earlier tile adds into its key prefix
         for (s, e), p in reversed(list(zip(tiles, probs))):
             gs = go[:, :, s:e]
-            g_scores = np.matmul(gs, np.swapaxes(vh[:, :, :e], -1, -2))
-            g_scores -= inner[:, :, s:e]
+            g_scores = np.matmul(vh[:, :, :e], np.swapaxes(gs, -1, -2))
+            g_scores -= inner[..., s:e]
             g_scores *= p   # now the gradient of the scaled scores
-            np.matmul(g_scores, kh[:, :, :e], out=gqh[:, :, s:e])
+            np.matmul(np.swapaxes(g_scores, -1, -2), kh[:, :, :e], out=gqh[:, :, s:e])
             if e == T:
-                np.matmul(np.swapaxes(p, -1, -2), gs, out=gvh)
-                np.matmul(np.swapaxes(g_scores, -1, -2), qh[:, :, s:e], out=gkh)
+                np.matmul(p, gs, out=gvh)
+                np.matmul(g_scores, qh[:, :, s:e], out=gkh)
             else:
-                gvh[:, :, :e] += np.matmul(np.swapaxes(p, -1, -2), gs)
-                gkh[:, :, :e] += np.matmul(np.swapaxes(g_scores, -1, -2), qh[:, :, s:e])
+                gvh[:, :, :e] += np.matmul(p, gs)
+                gkh[:, :, :e] += np.matmul(g_scores, qh[:, :, s:e])
         gq *= scale
         gk *= scale
         return gq, gk, gv

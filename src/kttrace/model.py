@@ -266,13 +266,14 @@ class KTModel:
         """
         P = self._params
         h, query = self.encode_steps(batch)
+        mask = ag.segment_mask(batch.starts, self.dtype)   # one per batch, for every block
         for i in range(self.config.n_layers):
             z = ag.layer_norm(h, P[f"block{i}.ln1.gain"], P[f"block{i}.ln1.bias"])
             q = self._linear(z, f"block{i}.attn.wq", f"block{i}.attn.bq")
             # no key bias: q.bk shifts a whole score row, which softmax cancels
             k = ag.matmul(z, P[f"block{i}.attn.wk"], transpose_b=True)
             v = self._linear(z, f"block{i}.attn.wv", f"block{i}.attn.bv")
-            a = ag.causal_attention(q, k, v, self.config.n_head, batch.starts)
+            a = ag.causal_attention(q, k, v, self.config.n_head, mask)
             a = self._linear(a, f"block{i}.attn.wo", f"block{i}.attn.bo")
             if gates is not None:
                 a = ag.gate_apply(a, gates[(i, "attention")])

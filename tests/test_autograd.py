@@ -1,7 +1,12 @@
 import gc
 import inspect
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +32,7 @@ from kttrace.autograd import (
     mean_over_axis,
     mul,
     next_step,
+    segment_mask,
     sigmoid,
 )
 from kttrace.data import pack_segments
@@ -136,6 +142,23 @@ def test_layer_norm_constant_row_is_zero():
     b = Tensor(np.zeros(width))
     out = layer_norm(Tensor(np.full((2, width), 3.7)), g, b)
     np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("width", [64, 256])
+def test_float32_layer_norm_of_rows_far_from_zero_matches_float64(width):
+    # rows near 1e3 with unit spread: float32 holds them to 6.1e-5, and a
+    # row mean off by a few such steps shifts every normalized value by as
+    # much; 1e-3 allows 16 of them
+    rng = np.random.default_rng(width)
+    x = (rng.normal(size=(4, 50, width)) + 1e3).astype(np.float32)
+
+    def normalize(dtype):
+        return layer_norm(Tensor(x.astype(dtype)), Tensor(np.ones(width, dtype)),
+                          Tensor(np.zeros(width, dtype))).data
+
+    got = normalize(np.float32)
+    assert got.dtype == np.float32
+    np.testing.assert_allclose(got, normalize(np.float64), rtol=0, atol=1e-3)
 
 
 def test_mean_over_axis_value():
@@ -614,29 +637,54 @@ def run_starts(T, runs):
 
 def test_grad_causal_attention_inside_segments_over_uneven_tiles():
     # 3 tiles of 44, 44 and 42. Row 0's segments (0-49, 50-89, 90-129) cross
-    # both tile boundaries; row 1 is one segment and a padding run. No
-    # segment starts inside the first tile, so it masks its diagonal block
-    # only, and the other two mask over all their keys.
+    # both tile boundaries; row 1 is one segment and a padding run
     T = 130
     starts = np.stack([run_starts(T, (50, 40, 40)), run_starts(T, (100, 30))])
+    mask = segment_mask(starts, np.float64)
     rng = np.random.default_rng(8)
     arrays = {x: rng.normal(size=(2, T, 6)) for x in "qkv"}
     check_op_grads(lambda t: scalarize(sigmoid(causal_attention(
-        t["q"], t["k"], t["v"], n_head=2, starts=starts))), arrays)
+        t["q"], t["k"], t["v"], n_head=2, mask=mask))), arrays)
 
 
 def test_causal_attention_inside_segments_equals_each_segment_alone():
-    # row 0 is one segment, so only row 1 tells each tile to mask its segments
+    # row 0 is one segment, so only row 1 needs the segment mask
     rng = np.random.default_rng(9)
     rows = ((130,), (30, 20, 40, 40))
     starts = np.stack([run_starts(130, runs) for runs in rows])
     q, k, v = (rng.normal(size=(2, 130, 6)) for _ in range(3))
-    got = causal_attention(q, k, v, n_head=2, starts=starts).data
+    got = causal_attention(q, k, v, n_head=2, mask=segment_mask(starts, np.float64)).data
     for r, runs in enumerate(rows):
         for a, n in zip(np.cumsum((0,) + runs[:-1]), runs):
             cut = (x[r:r + 1, a:a + n] for x in (q, k, v))
             want = causal_attention(*cut, n_head=2).data
             assert np.abs(got[r:r + 1, a:a + n] - want).max() < 1e-12, (r, a)
+
+
+@pytest.mark.parametrize("runs", [None, (30, 20, 40, 40)])
+def test_float32_attention_with_logits_near_1e3_matches_float64(runs):
+    # the softmax's max must be each query's over its keys: any other shift
+    # leaves exp overflowing or every key of a query underflowing to zero.
+    # A float32 logit near 1e3 is good to about 6e-5, and so is each
+    # probability relative to itself.
+    T = 130
+    rng = np.random.default_rng(14)
+    q, k, v = (rng.normal(size=(2, T, 8)).astype(np.float32) for _ in range(3))
+    q *= 14.0
+    k *= 14.0
+    logits = np.einsum("bthd,bshd->bhts", *(x.astype(np.float64).reshape(2, T, 2, 4)
+                                             for x in (q, k))) / 2.0
+    assert np.abs(np.tril(logits)).max() > 800
+    starts = None if runs is None else np.stack([run_starts(T, runs)] * 2)
+
+    def attend(dtype):
+        mask = None if starts is None else segment_mask(starts, dtype)
+        return causal_attention(*(x.astype(dtype) for x in (q, k, v)), n_head=2,
+                                mask=mask).data
+
+    got = attend(np.float32)
+    assert got.dtype == np.float32 and np.isfinite(got).all()
+    np.testing.assert_allclose(got, attend(np.float64), rtol=0, atol=2e-4)
 
 
 def test_grad_mean_over_axis():
@@ -709,6 +757,58 @@ def test_determinism_bitwise():
     assert l1.tobytes() == l2.tobytes()
     assert gx1.tobytes() == gx2.tobytes()
     assert gw1.tobytes() == gw2.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# bits that do not depend on the BLAS thread count
+
+# Prints, for each op and shape, a SHA-256 over the float32 forward output
+# and the gradients of every input under a fixed loss. Shapes: d 64 on
+# 64-wide rows packed with three segments each, and d 256 on 200-wide rows
+# of one segment each, as the short-history and long-history models run.
+BLAS_THREADS_SCRIPT = """
+import hashlib, json
+import numpy as np
+from kttrace.autograd import (Tape, Tensor, causal_attention, layer_norm, mean_over_axis,
+                              mul, segment_mask)
+
+digests = {}
+for B, T, D, H, runs in ((8, 64, 64, 4, (20, 30, 14)), (2, 200, 256, 8, (200,))):
+    rng = np.random.default_rng(D)
+    starts = np.repeat(np.cumsum((0,) + runs[:-1]), runs)[None].repeat(B, 0)
+    x, q, k, v = (rng.normal(size=(B, T, D)).astype(np.float32) for _ in range(4))
+    gain, bias = (rng.normal(size=D).astype(np.float32) for _ in range(2))
+    weights = Tensor(rng.normal(size=(B, T, D)).astype(np.float32))
+    mask = segment_mask(starts, np.float32)
+    for op, arrays, call in (
+            ("layer_norm", (x, gain, bias), layer_norm),
+            ("causal_attention", (q, k, v), lambda *t: causal_attention(*t, H, mask))):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        with Tape() as tape:
+            out = call(*leaves)
+            loss = mul(out, weights)
+            while loss.ndim:
+                loss = mean_over_axis(loss, 0)
+        tape.backward(loss)
+        h = hashlib.sha256(out.data.tobytes())
+        for leaf in leaves:
+            h.update(leaf.grad.tobytes())
+        digests[f"{op} d{D} T{T}"] = h.hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def test_layer_norm_and_attention_bits_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(ag.__file__).resolve().parents[1])
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        runs[threads] = json.loads(done.stdout)
+    assert len(runs["1"]) == 4
+    assert [key for key in runs["1"] if runs["1"][key] != runs["2"][key]] == []
 
 
 # ---------------------------------------------------------------------------
