@@ -376,7 +376,7 @@ def layer_norm(x, gain, bias, eps=LN_EPS):
     centered = x.data - mu
     var = ((centered * centered) @ ones) / width
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered   # in place: a [B, T, d] temporary fewer per step, same bits
+    xhat = centered   # in place: two [B, T, d] temporaries fewer, same bits
     xhat *= inv
     data = xhat * gain.data
     data += bias.data
@@ -443,7 +443,6 @@ def segment_mask(starts, dtype):
     begin at column ``starts`` [batch, time]: 0 where key j lies in
     ``[starts[t], t]`` for query t, else ``MASK_FILL``. None when every
     segment starts at column 0, where the causal mask alone does."""
-    starts = np.asarray(starts)
     if not starts.any():
         return None
     cols = np.arange(starts.shape[1])

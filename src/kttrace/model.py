@@ -266,7 +266,7 @@ class KTModel:
         """
         P = self._params
         h, query = self.encode_steps(batch)
-        mask = ag.segment_mask(batch.starts, self.dtype)   # one per batch, for every block
+        mask = ag.segment_mask(batch.starts, self.dtype)   # one per packed part, for every block
         for i in range(self.config.n_layers):
             z = ag.layer_norm(h, P[f"block{i}.ln1.gain"], P[f"block{i}.ln1.bias"])
             q = self._linear(z, f"block{i}.attn.wq", f"block{i}.attn.bq")

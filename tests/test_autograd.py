@@ -364,6 +364,9 @@ def test_shape_error_names_op_and_shapes():
         matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 4, 5))))
     with pytest.raises(ShapeError, match=r"add.*\(2, 3\)"):
         add(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
+    mask = segment_mask(np.array([[0, 0, 2, 2]]), np.float64)   # for T 4, not 3
+    with pytest.raises(ShapeError, match=r"causal_attention: mask \(1, 1, 4, 4\)"):
+        causal_attention(*(np.ones((1, 3, 4)) for _ in range(3)), n_head=2, mask=mask)
 
 
 def test_nonfinite_output_raises():
