@@ -376,7 +376,7 @@ def layer_norm(x, gain, bias, eps=LN_EPS):
     centered = x.data - mu
     var = ((centered * centered) @ ones) / width
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered   # in place: two [B, T, d] temporaries fewer, same bits
+    xhat = centered   # normalized and shifted in place, so no [B, T, d] temporary
     xhat *= inv
     data = xhat * gain.data
     data += bias.data
