@@ -248,6 +248,14 @@ class ExperimentConfig:
 # prepared-dataset persistence
 
 
+def _ingest_file(path):
+    """``ingest``, with the file named at the head of a ``DataFormatError``."""
+    try:
+        return ingest(path)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
 def write_prepared(cfg, name, entry, splits, n_questions, n_kcs):
     out = cfg.ensure_dir("prepared", name)
     counts = {}
@@ -285,7 +293,7 @@ def read_prepared(cfg, name, splits):
         if not isinstance(value, kind) or isinstance(value, bool):
             raise DataFormatError(f"{meta_path}: {key!r} must be a {kind.__name__}, "
                                   f"got {'nothing' if key not in meta else repr(value)}")
-    parsed = Splits(**{split: ingest(d / f"{split}.txt") if split in splits else []
+    parsed = Splits(**{split: _ingest_file(d / f"{split}.txt") if split in splits else []
                        for split in ("train", "valid", "test")})
     spec = DatasetSpec(meta["name"], meta["dataset_index"])
     return PreparedDataset(spec=spec, splits=parsed,
@@ -309,9 +317,14 @@ def adapt_if_needed(model, prepared, seed):
             f"target dataset {prepared.spec.name!r} has dataset_index "
             f"{prepared.spec.dataset_index} but the checkpoint assigns new "
             f"datasets index {expected_index}")
-    model = zero_shot_adapt(model, prepared.spec.name, prepared.n_questions,
-                            prepared.n_kcs,
-                            seed=stage_seed(seed, "adapt", prepared.spec.name))
+    try:
+        model = zero_shot_adapt(model, prepared.spec.name, prepared.n_questions,
+                                prepared.n_kcs,
+                                seed=stage_seed(seed, "adapt", prepared.spec.name))
+    except MemoryError:   # the counts come from the prepared meta.json
+        raise DataFormatError(
+            f"dataset {prepared.spec.name!r}: no memory for the embedding rows of "
+            f"{prepared.n_questions} questions and {prepared.n_kcs} KCs") from None
     logger.info("adapted checkpoint to %s (index %d)", prepared.spec.name,
                 expected_index)
     return model
@@ -362,7 +375,7 @@ def cmd_preprocess(cfg, args):
         path = cfg.resolve(entry["path"])
         if not path.exists():
             raise UsageError(f"dataset file {path} does not exist")
-        sequences = ingest(path)
+        sequences = _ingest_file(path)
         splits = preprocess(sequences, seed=stage_seed(cfg.seed, "preprocess",
                                                        entry["name"]))
         n_q, n_k = observed_id_sizes(sequences)

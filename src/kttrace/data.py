@@ -93,6 +93,110 @@ class PreparedDataset:
 # ingestion
 
 
+def ingest(path):
+    """Parse a block-format file into one StudentSequence per block.
+
+    Tokens are parsed with ``int``. Of several faults, the first parse
+    fault (a bad token, field count, length or KC set) is reported, else
+    the earliest attempt with a bad response, timestamp or ID, in that order.
+
+    A file in the canonical grammar (data tokens of 1 to 18 ASCII digits
+    joined by single ``,`` and, in KC fields, ``_``; ``\\n`` line ends;
+    blocks apart by empty lines) is parsed in whole-file numpy passes.
+    Any other file goes through the per-token parser, which accepts and
+    rejects the same files with the same result.
+    """
+    with open(path, "rb") as fh:
+        parsed = _parse_digit_blocks(fh.read())
+    if parsed is None:
+        with open(path, "r", encoding="utf-8") as fh:
+            parsed = _parse_tokens(fh.read())
+    return _sequences(*parsed)
+
+
+def _parse_digit_blocks(data):
+    """``_parse_tokens``' result for a file in the canonical grammar, else None.
+
+    Python work is per block: find the blocks and read their headers.
+    Each data row is joined across blocks and parsed in one numpy pass.
+    """
+    if b"\r" in data:   # text mode reads "\r" as a line end
+        return None
+    lines = data.split(b"\n")
+    heads, student_ids, declared = [], [], []
+    i, n = 0, len(lines)
+    while i < n:
+        if not lines[i]:
+            i += 1
+            continue
+        try:   # the per-token parser's header rule, exactly
+            parts = lines[i].decode("utf-8").strip().rsplit(",", 1)
+            declared.append(int(parts[1]))
+        except (UnicodeDecodeError, IndexError, ValueError):
+            return None
+        heads.append(i)
+        student_ids.append(parts[0].strip())
+        i += 5
+    if not heads or i > n:   # no block, or the last one cut short
+        return None
+    rows = [_digit_runs(b"\n".join([lines[h + k] for h in heads]), b",\n" if k != 2 else b",_\n")
+            for k in (1, 2, 3, 4)]
+    if any(row is None for row in rows):
+        return None
+    (q, q_cuts), (flat, kc_cuts), (r, r_cuts), (t, t_cuts) = rows
+    # the KC row's fields end at "," and "\n", its KCs at "_" too
+    new_field = np.concatenate(([True], kc_cuts != ord("_")))
+    field_of = np.cumsum(new_field) - 1
+    counts = [_per_line(cuts) for cuts in (q_cuts, kc_cuts[new_field[1:]], r_cuts, t_cuts)]
+    if not all(np.array_equal(c, declared) for c in counts):
+        return None
+    bounds = np.concatenate(([0], np.cumsum(counts[0]))).tolist()
+    first = np.flatnonzero(new_field)
+    top = np.iinfo(np.int64).max   # above any 18-digit ID: sorts last
+    sets = np.full((int(np.diff(first, append=len(flat)).max()), len(first)), top)
+    sets[np.arange(len(flat)) - first[field_of], field_of] = flat   # [K, N]: a set per column
+    _sort_columns(sets)
+    repeat = sets[1:] == sets[:-1]
+    if repeat.any():
+        sets[1:][repeat] = top
+        _sort_columns(sets)
+    kcs = np.ascontiguousarray(sets[:int((sets != top).any(axis=1).sum())].T)
+    kcs[kcs == top] = -1
+    return heads, student_ids, bounds, q, r, t, kcs
+
+
+def _digit_runs(row, stops):
+    """(values, the byte after each value but the last) of ``row`` read
+    as runs of 1 to 18 ASCII digits apart by single bytes of ``stops``;
+    None for any other text."""
+    buf = np.frombuffer(row, dtype=np.uint8)
+    cut = np.flatnonzero((buf - ord("0")) >= 10)   # uint8 wraps the bytes below "0"
+    cuts = buf[cut]
+    width = np.diff(cut, prepend=-1, append=len(buf)) - 1
+    allowed = np.zeros(256, dtype=bool)
+    allowed[list(stops)] = True
+    if width.min() < 1 or width.max() > 18 or not allowed[cuts].all():
+        return None
+    # every value fits in int64, so numpy's text reader parses each exactly
+    return np.fromstring(row.translate(bytes.maketrans(stops, b"," * len(stops))),
+                         dtype=np.int64, sep=","), cuts
+
+
+def _sort_columns(a):
+    """Sort each column of a short 2-D array in place, by a network of
+    compare-exchanges between its rows."""
+    for i in range(len(a) - 1, 0, -1):
+        for j in range(i):
+            low = np.minimum(a[j], a[j + 1])
+            np.maximum(a[j], a[j + 1], out=a[j + 1])
+            a[j] = low
+
+
+def _per_line(cuts):
+    """Values per line of a joined row, from the stop bytes between its values."""
+    return np.diff(np.concatenate(([0], np.flatnonzero(cuts == ord("\n")) + 1, [len(cuts) + 1])))
+
+
 def _parse_int_row(raw, line_no, what):
     tokens = raw.split(",")
     try:
@@ -105,15 +209,14 @@ def _parse_int_row(raw, line_no, what):
                 raise DataFormatError(f"line {line_no}: bad {what} value {tok.strip()!r}") from None
 
 
-def ingest(path):
-    """Parse a block-format file into one StudentSequence per block.
+def _parse_tokens(text):
+    """Parse a file's text token by token, with Python ``int``.
 
-    Tokens are parsed with ``int``. Of several faults, the first parse
-    fault (a bad token, field count, length or KC set) is reported, else
-    the earliest attempt with a bad response, timestamp or ID, in that order.
+    Returns each block's header line index, student ID and end row, and
+    one array per field; raises ``DataFormatError`` on the first parse
+    fault. ``_sequences`` checks the values.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    lines = text.split("\n")
     heads, student_ids, bounds = [], [], [0]   # per block: line index, id, end row
     questions, responses, stamps, kc_flat, kc_counts = [], [], [], [], []
     i = 0
@@ -175,6 +278,15 @@ def ingest(path):
     counts = np.array(kc_counts, dtype=np.int64)
     kcs = np.full((len(counts), int(counts.max(initial=1))), -1, dtype=np.int64)
     kcs[np.arange(kcs.shape[1]) < counts[:, None]] = flat   # column 0: each set's least KC
+    return heads, student_ids, bounds, q, r, t, kcs
+
+
+def _sequences(heads, student_ids, bounds, q, r, t, kcs):
+    """Views of one array per field, one StudentSequence per block.
+
+    Raises ``DataFormatError`` for the earliest attempt with a bad
+    response, timestamp or ID, its checks in that order.
+    """
     step_back = t < np.roll(t, 1)
     step_back[bounds[:-1]] = False   # a block's first attempt has no predecessor
     faults = np.array([(r != 0) & (r != 1), t < 0, step_back, (q < 0) | (kcs[:, 0] < 0)])
@@ -193,17 +305,69 @@ def ingest(path):
 
 
 def write_blocks(sequences, path):
-    """Emit sequences in the block format (inverse of :func:`ingest`)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for k, seq in enumerate(sequences):
-            if k:
-                fh.write("\n")
-            fh.write(f"{seq.student_id},{len(seq)}\n")
-            fh.write(",".join(map(str, seq.questions.tolist())) + "\n")
-            kc_columns = (map(str, column) for column in seq.kcs.T.tolist())
-            fh.write(",".join(map("_".join, zip(*kc_columns))).replace("_-1", "") + "\n")
-            fh.write(",".join(map(str, seq.responses.tolist())) + "\n")
-            fh.write(",".join(map(str, seq.timestamps.tolist())) + "\n")
+    """Emit sequences in the block format (inverse of :func:`ingest`).
+
+    A KC set is written without its -1 padding cells (column 0 always
+    stays). All the integers of the file are formatted together in
+    vectorized digit passes; Python runs per sequence for the header
+    line only.
+    """
+    sequences = list(sequences)
+    if not sequences:
+        open(path, "wb").close()
+        return
+    n_blocks = len(sequences)
+    heads = [f"{seq.student_id},{len(seq)}\n".encode("utf-8") for seq in sequences]
+    block = np.repeat(np.arange(n_blocks), [len(seq) for seq in sequences])   # per attempt
+    set_width = max(1, max(seq.kcs.shape[1] for seq in sequences))
+    kcs = np.concatenate([seq.kcs if seq.kcs.shape[1] == set_width else np.pad(
+        seq.kcs, ((0, 0), (0, set_width - seq.kcs.shape[1])), constant_values=-1)
+        for seq in sequences])
+    kept = kcs != -1
+    kept[:, 0] = True   # padding is a -1 past column 0
+    kc_row = np.nonzero(kept)[0]
+    q, r, t = (np.concatenate([getattr(seq, name) for seq in sequences])
+               for name in ("questions", "responses", "timestamps"))
+    # every value of the file, its 4 line kinds one after another; lines
+    # are numbered kind by kind, so each line's values are contiguous
+    values = np.concatenate([q, kcs[kept], r, t])
+    line = np.concatenate([block, n_blocks + block[kc_row], 2 * n_blocks + block,
+                           3 * n_blocks + block])
+    neg = values < 0
+    mag = values.astype(np.uint64)
+    mag[neg] = -mag[neg]   # |value| in uint64, -2**63 too
+    digits = np.searchsorted(10 ** np.arange(1, 20, dtype=np.uint64), mag, side="right") + 1
+    width = neg + digits + 1   # sign, digits, the byte after
+    # a line is its values each with the byte after, the last one "\n";
+    # an empty line is its "\n"
+    per_line = np.bincount(line, weights=width, minlength=4 * n_blocks).astype(np.int64)
+    sizes = np.zeros((n_blocks, 6), dtype=np.int64)   # header, 4 lines, blank line
+    sizes[:, 0] = [len(h) for h in heads]
+    sizes[:, 1:5] = np.maximum(per_line, 1).reshape(4, n_blocks).T
+    sizes[:-1, 5] = 1
+    offsets = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
+    start = (offsets[:, 1:5].T.ravel() - np.cumsum(per_line) + per_line)[line] \
+        + np.cumsum(width) - width
+    after = start + width - 1
+
+    out = np.full(int(sizes.sum()), ord("\n"), dtype=np.uint8)
+    head_bytes = np.frombuffer(b"".join(heads), dtype=np.uint8)
+    out[np.repeat(offsets[:, 0] - np.cumsum(sizes[:, 0]) + sizes[:, 0], sizes[:, 0])
+        + np.arange(len(head_bytes))] = head_bytes
+    out[start[neg]] = ord("-")
+    out[after[:-1][line[1:] == line[:-1]]] = ord(",")   # a value that does not end its line
+    same_set = np.flatnonzero(kc_row[1:] == kc_row[:-1])   # KCs that a KC of their set follows
+    out[after[len(q) + same_set]] = ord("_")
+    last = after - 1
+    while True:   # one pass per decimal place, from the last digit
+        rest = mag // 10
+        out[last] = mag - rest * 10 + ord("0")
+        more = np.flatnonzero(rest)
+        if not len(more):
+            break
+        mag, last = rest[more], last[more] - 1
+    with open(path, "wb") as fh:
+        fh.write(out)
 
 
 def observed_id_sizes(sequences):

@@ -321,7 +321,8 @@ def load_checkpoint(path):
                                     "model's parameters in checkpoint order")
 
     params = OrderedDict()
-    for m, size in zip(manifest, sizes):
+    # the manifest equals ``declared``, but may spell an int as a bool
+    for m, size in zip(declared, sizes):
         raw = np.frombuffer(blob, dtype="<f4", count=size // 4,
                             offset=16 + header_len + m["offset"])
         params[m["name"]] = raw.reshape(m["shape"]).copy()

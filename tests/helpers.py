@@ -5,6 +5,7 @@ import json
 import struct
 
 import numpy as np
+from hypothesis import strategies as st
 
 from kttrace.data import DatasetSpec, StudentSequence, build_vocab
 from kttrace.model import KTModel, ModelConfig
@@ -101,3 +102,21 @@ def split_checkpoint(blob):
     """The header object and the payload of a checkpoint file's bytes."""
     (header_len,) = struct.unpack("<Q", blob[8:16])
     return json.loads(blob[16:16 + header_len]), blob[16 + header_len:-32]
+
+
+EDIT_CHARS = "0123456789,_-+ \r\nx\u0663"
+
+
+# (kind, position modulo the text's length + 1, character, 19-digit token)
+EDITS = st.tuples(st.sampled_from(["insert", "delete", "replace", "long token"]),
+                  st.integers(0, 10**6), st.sampled_from(EDIT_CHARS),
+                  st.integers(10**18, 10**19 - 1))
+
+
+def apply_edit(text, edit):
+    """``text`` with one character inserted, deleted or replaced, or a
+    19-digit token inserted, as an ``EDITS`` draw says."""
+    kind, at, char, token = edit
+    at %= len(text) + 1
+    new = {"insert": char, "delete": "", "replace": char, "long token": str(token)}[kind]
+    return text[:at] + new + text[at + (kind in ("delete", "replace")):]

@@ -30,7 +30,7 @@ from kttrace.train import (
     stage_seed,
 )
 
-from helpers import build_tiny, checkpoint_bytes, split_checkpoint
+from helpers import EDITS, apply_edit, build_tiny, checkpoint_bytes, split_checkpoint
 
 
 def run_cli(capsys, *argv):
@@ -402,6 +402,97 @@ def test_malformed_dataset_file_is_data_error(tmp_path, capsys):
     code, _ = run_cli(capsys, "preprocess", "--config", str(path),
                       "--dataset", "rich0")
     assert code == 2
+
+
+def test_bad_dataset_file_is_named_in_the_preprocess_error(tmp_path, capsys, caplog):
+    path = write_config(tmp_path)
+    bad = tmp_path / "run" / "data" / "rich0.txt"
+    bad.parent.mkdir(parents=True)
+    bad.write_text("s1,2\n1,2\n0,1\n0,2\n5,6\n")
+    with caplog.at_level(logging.ERROR, logger="kttrace"):
+        code, _ = run_cli(capsys, "preprocess", "--config", str(path))
+    assert code == 2
+    assert f"{bad}: line 4: response must be 0 or 1, got 2" in caplog.text
+
+
+def test_bad_prepared_split_is_named_in_the_eval_error(pipeline, capsys, caplog, tmp_path):
+    root, ckpt, _ = pipeline
+    work = tmp_path / "copy"
+    shutil.copytree(root, work)
+    split = work / "run" / "prepared" / "low" / "test.txt"
+    lines = split.read_text().split("\n")
+    lines[3] = "x" + lines[3]
+    split.write_text("\n".join(lines))
+    with caplog.at_level(logging.ERROR, logger="kttrace"):
+        code, _ = run_cli(capsys, "eval", "--config", str(work / "config.json"),
+                          "--checkpoint", str(work / ckpt.relative_to(root)))
+    assert code == 2
+    assert f"{split}: line 4: bad response value 'x" in caplog.text
+
+
+@pytest.fixture(scope="module")
+def eval_in_child(pipeline):
+    """Runs ``kttrace eval`` on a copy of the pipeline's prepared data in
+    one child with a capped address space, since ``meta.json`` may declare
+    any count; returns the exit code, or the type name of an exception
+    that ``main`` let through."""
+    _, ckpt, _ = pipeline
+    argv, env = _limited_child(
+        "import contextlib, io\n"
+        "for line in sys.stdin:\n"
+        "    try:\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            result = main(json.loads(line))\n"
+        "    except BaseException as exc:\n"
+        "        result = type(exc).__name__\n"
+        "    print(json.dumps(result), flush=True)\n")
+    child = subprocess.Popen(argv, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                             stderr=subprocess.DEVNULL, text=True)
+
+    def run(work):
+        child.stdin.write(json.dumps(["eval", "--config", str(work / "config.json"),
+                                      "--checkpoint", str(ckpt),
+                                      "--out", str(work / "eval")]) + "\n")
+        child.stdin.flush()
+        line = child.stdout.readline()
+        assert line, "the eval child exited"
+        return json.loads(line)
+
+    yield run
+    child.stdin.close()
+    child.wait(timeout=60)
+
+
+META_KEYS = ["name", "dataset_index", "role", "n_questions", "n_kcs", "segments", "other"]
+
+
+@settings(deadline=None, max_examples=150)
+@example(name="low", file="meta.json", key="n_questions", value=10**12, edit=None)
+@example(name="low", file="meta.json", key="n_kcs", value=2**62, edit=None)
+@example(name="rich0", file="meta.json", key="name", value="low", edit=None)
+@example(name="low", file="test.txt", key=None, value=None,
+         edit=("replace", 0, "\u0663", 0))
+@given(name=st.sampled_from(["rich0", "low"]),
+       file=st.sampled_from(["meta.json", "valid.txt", "test.txt"]),
+       key=st.sampled_from(META_KEYS),
+       value=JSON_VALUES | st.sampled_from([10**12, 2**62, 2**63, -1, 0]),
+       edit=EDITS)
+def test_any_prepared_directory_ends_eval_in_an_exit_code(pipeline, eval_in_child, name, file,
+                                                          key, value, edit):
+    root, _, _ = pipeline
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        shutil.copytree(root / "run" / "prepared", work / "run" / "prepared")
+        write_config(work, datasets=PIPELINE_DATASETS)
+        path = work / "run" / "prepared" / name / file
+        if file == "meta.json":
+            meta = json.loads(path.read_text())
+            meta[key] = value
+            path.write_text(json.dumps(meta))
+        else:
+            path.write_bytes(apply_edit(path.read_text(encoding="utf-8"), edit).encode("utf-8"))
+        # an exception main does not turn into an exit code fails the test
+        assert eval_in_child(work) in (0, 1, 2)
 
 
 @pytest.mark.parametrize("old,new", [("5,6,7", "5,6,99999999999999999999"),

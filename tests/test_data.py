@@ -4,9 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kttrace import data
 from kttrace.data import (
     ROW_WIDTH,
     TAPE_CELLS,
@@ -26,7 +27,7 @@ from kttrace.data import (
     simulate_sequences,
     write_blocks,
 )
-from helpers import seq_of
+from helpers import EDITS, apply_edit, seq_of
 from oracles import oracle_pack, oracle_simulate
 
 BLOCK = "s1,3\n10,11,10\n2_3,4,2\n1,0,1\n100,200,300\n"
@@ -160,11 +161,11 @@ def test_ingest_shares_one_array_per_field(tmp_path):
 
 
 @st.composite
-def sequences(draw):
+def sequences(draw, max_id=2**63 - 1):
     out = []
     for _ in range(draw(st.integers(0, 4))):
         n = draw(st.integers(1, 6))
-        ids = st.integers(0, 2**63 - 1)
+        ids = st.integers(0, max_id)
         rows = zip(draw(st.lists(ids, min_size=n, max_size=n)),
                    draw(st.lists(st.sets(ids, min_size=1, max_size=3), min_size=n, max_size=n)),
                    draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
@@ -211,6 +212,65 @@ def test_a_one_kc_field_parses_like_the_same_kc_twice(token):
     if isinstance(expected, str):
         expected = expected.replace(repr(doubled), repr(token))
     assert ingest_outcome(f"2_3,{token},2") == expected
+
+
+def outcome(parse, path):
+    """``parse(path)``'s sequences, or its ``DataFormatError`` message."""
+    try:
+        return parse(path)
+    except DataFormatError as err:
+        return str(err)
+
+
+def ingest_by_token(path):
+    """The per-token parser alone: the oracle of ``ingest``'s numpy path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return data._sequences(*data._parse_tokens(fh.read()))
+
+
+@st.composite
+def edited_files(draw):
+    """``write_blocks`` output with one edit."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "f.txt"
+        write_blocks(draw(sequences(max_id=draw(st.sampled_from([99, 10**18 - 1])))), path)
+        return apply_edit(path.read_text(encoding="utf-8"), draw(EDITS))
+
+
+@settings(max_examples=400, deadline=None)
+@example(text="s1,3\n10,11,10\n2_3,4,2\n1,0,1\n100,200,300\n")
+@example(text="s1,3\n10,11,10\n3_3,4_1_4,9_2_5\n1,0,1\n100,200,300\n")   # unsorted, repeated
+@example(text="s1,3\r\n10,11,10\r\n2_3,4,2\r\n1,0,1\r\n100,200,300\r\n")
+@example(text="s1,3\n10, 11,10\n2_3,4,2\n1,0,1\n100,200,300\n")
+@example(text="s1,3\n10,11,10\n2_3,4,2\n1,0,1\n100,200,1000000000000000000\n")
+@given(text=edited_files())
+def test_ingest_equals_the_per_token_parser_on_any_edited_file(text):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "f.txt"
+        path.write_bytes(text.encode("utf-8"))   # as written: "\r" stays "\r"
+        assert outcome(ingest, path) == outcome(ingest_by_token, path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sequences(max_id=10**18 - 1).filter(bool))   # an empty file has no block
+def test_write_blocks_output_takes_the_numpy_path(seqs):
+    def refuse(text):
+        raise AssertionError("the per-token parser ran")
+
+    with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "_parse_tokens", refuse)
+        path = Path(d) / "f.txt"
+        write_blocks(seqs, path)
+        assert ingest(path) == seqs
+
+
+def test_write_blocks_keeps_a_negative_kc_id(tmp_path):
+    # [3, -12]: only -1 cells are padding; -12 must read back as an error
+    path = tmp_path / "neg.txt"
+    write_blocks([seq_of("s", [(1, (3, -12), 0, 0), (2, (4,), 1, 5), (3, (5,), 1, 9)])], path)
+    assert path.read_text().splitlines()[2] == "3_-12,4,5"
+    with pytest.raises(DataFormatError, match="negative ID"):
+        ingest(path)
 
 
 # ---------------------------------------------------------------------------
