@@ -150,7 +150,7 @@ def _parse_digit_blocks(data):
     counts = [_per_line(cuts) for cuts in (q_cuts, kc_cuts[new_field[1:]], r_cuts, t_cuts)]
     if not all(np.array_equal(c, declared) for c in counts):
         return None
-    bounds = np.concatenate(([0], np.cumsum(counts[0]))).tolist()
+    bounds = list(accumulate(declared, initial=0))
     first = np.flatnonzero(new_field)
     top = np.iinfo(np.int64).max   # above any 18-digit ID: sorts last
     sets = np.full((int(np.diff(first, append=len(flat)).max()), len(first)), top)

@@ -443,7 +443,7 @@ def eval_in_child(pipeline):
         "    try:\n"
         "        with contextlib.redirect_stdout(io.StringIO()):\n"
         "            result = main(json.loads(line))\n"
-        "    except BaseException as exc:\n"
+        "    except Exception as exc:\n"
         "        result = type(exc).__name__\n"
         "    print(json.dumps(result), flush=True)\n")
     child = subprocess.Popen(argv, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
@@ -662,6 +662,7 @@ def load_in_child(tmp_path_factory):
 @settings(deadline=None, max_examples=1000)
 @example(mutation=(("vocab", "datasets", 0, "n_questions"), math.inf))
 @example(mutation=(("manifest", 0, "shape", 0), math.inf))
+@example(mutation=(("manifest", 25, "shape", 0), True))   # equals 1, but is no int
 @given(mutation=st.tuples(st.sampled_from(list(_json_paths(TINY_HEADER))),
                           st.just(DROP) | HEADER_VALUES))
 def test_any_header_mutation_loads_or_raises_a_checkpoint_error(load_in_child, mutation):
