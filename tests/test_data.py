@@ -185,15 +185,20 @@ def test_ingest_inverts_write_blocks(seqs):
         assert ingest(path) == seqs
 
 
+def outcome(parse, path):
+    """``parse(path)``'s sequences, or its ``DataFormatError`` message."""
+    try:
+        return parse(path)
+    except DataFormatError as err:
+        return str(err)
+
+
 def ingest_outcome(kc_line):
     """The sequences, or the error, of a three-attempt block with this KC line."""
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "kc.txt"
         path.write_text(BLOCK.replace("2_3,4,2", kc_line))
-        try:
-            return ingest(path)
-        except DataFormatError as err:
-            return str(err)
+        return outcome(ingest, path)
 
 
 # any KC token text: digits, signs, other Unicode digits, exponents, letters,
@@ -214,14 +219,6 @@ def test_a_one_kc_field_parses_like_the_same_kc_twice(token):
     assert ingest_outcome(f"2_3,{token},2") == expected
 
 
-def outcome(parse, path):
-    """``parse(path)``'s sequences, or its ``DataFormatError`` message."""
-    try:
-        return parse(path)
-    except DataFormatError as err:
-        return str(err)
-
-
 def ingest_by_token(path):
     """The per-token parser alone: the oracle of ``ingest``'s numpy path."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -240,6 +237,7 @@ def edited_files(draw):
 @settings(max_examples=400, deadline=None)
 @example(text="s1,3\n10,11,10\n2_3,4,2\n1,0,1\n100,200,300\n")
 @example(text="s1,3\n10,11,10\n3_3,4_1_4,9_2_5\n1,0,1\n100,200,300\n")   # unsorted, repeated
+@example(text="s1,3\n10,11,10\n12_3_11_1_10_2_9_4_8_5_7_6_3,4,2\n1,0,1\n100,200,300\n")   # 12 KCs
 @example(text="s1,3\r\n10,11,10\r\n2_3,4,2\r\n1,0,1\r\n100,200,300\r\n")
 @example(text="s1,3\n10, 11,10\n2_3,4,2\n1,0,1\n100,200,300\n")
 @example(text="s1,3\n10,11,10\n2_3,4,2\n1,0,1\n100,200,1000000000000000000\n")
