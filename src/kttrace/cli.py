@@ -25,9 +25,12 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from .autograd import NumericalError
 from .data import (
@@ -300,6 +303,29 @@ def read_prepared(cfg, name, splits):
                            n_questions=meta["n_questions"], n_kcs=meta["n_kcs"])
 
 
+def _check_adapt_room(model, prepared):
+    """Raise ``DataFormatError`` if ``meta.json``'s counts ask for embedding
+    rows that cannot be made.
+
+    ``zero_shot_adapt``'s peak is two float64 copies of the new rows (the
+    noise and its sum with the mean), and it writes every page of them.
+    Where the OS overcommits memory, a reservation larger than physical
+    memory can succeed and the writes then get the process killed, so
+    such counts are refused first. A smaller peak is reserved once without
+    writing, so a limit such as ``RLIMIT_AS`` refuses it here, not midway.
+    """
+    peak = 16 * (prepared.n_questions + prepared.n_kcs + 2) * model.config.d_model
+    try:
+        if peak > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+            raise MemoryError
+        np.empty(peak, dtype=np.uint8)
+    except MemoryError:
+        raise DataFormatError(
+            f"dataset {prepared.spec.name!r}: the embedding rows of {prepared.n_questions} "
+            f"questions and {prepared.n_kcs} KCs need {peak} bytes, more than this "
+            f"process can reserve") from None
+
+
 def adapt_if_needed(model, prepared, seed):
     """``model``, or a copy with its vocabulary extended to an unseen target.
 
@@ -317,14 +343,9 @@ def adapt_if_needed(model, prepared, seed):
             f"target dataset {prepared.spec.name!r} has dataset_index "
             f"{prepared.spec.dataset_index} but the checkpoint assigns new "
             f"datasets index {expected_index}")
-    try:
-        model = zero_shot_adapt(model, prepared.spec.name, prepared.n_questions,
-                                prepared.n_kcs,
-                                seed=stage_seed(seed, "adapt", prepared.spec.name))
-    except MemoryError:   # the counts come from the prepared meta.json
-        raise DataFormatError(
-            f"dataset {prepared.spec.name!r}: no memory for the embedding rows of "
-            f"{prepared.n_questions} questions and {prepared.n_kcs} KCs") from None
+    _check_adapt_room(model, prepared)
+    model = zero_shot_adapt(model, prepared.spec.name, prepared.n_questions,
+                            prepared.n_kcs, seed=stage_seed(seed, "adapt", prepared.spec.name))
     logger.info("adapted checkpoint to %s (index %d)", prepared.spec.name,
                 expected_index)
     return model

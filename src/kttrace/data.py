@@ -101,10 +101,10 @@ def ingest(path):
     the earliest attempt with a bad response, timestamp or ID, in that order.
 
     A file in the canonical grammar (data tokens of 1 to 18 ASCII digits
-    joined by single ``,`` and, in KC fields, ``_``; ``\\n`` line ends;
-    blocks apart by empty lines) is parsed in whole-file numpy passes.
-    Any other file goes through the per-token parser, which accepts and
-    rejects the same files with the same result.
+    joined by single ``,`` and, in KC fields, ``_``, at most 8 KCs to a
+    set; ``\\n`` line ends; blocks apart by empty lines) is parsed in
+    whole-file numpy passes. Any other file goes through the per-token
+    parser, which accepts and rejects the same files with the same result.
     """
     with open(path, "rb") as fh:
         parsed = _parse_digit_blocks(fh.read())
@@ -152,8 +152,11 @@ def _parse_digit_blocks(data):
         return None
     bounds = list(accumulate(declared, initial=0))
     first = np.flatnonzero(new_field)
+    width = int(np.diff(first, append=len(flat)).max())   # KCs of the widest set, repeats too
+    if width > 8:   # the [K, N] array grows with K at every attempt, the network with K**2
+        return None
     top = np.iinfo(np.int64).max   # above any 18-digit ID: sorts last
-    sets = np.full((int(np.diff(first, append=len(flat)).max()), len(first)), top)
+    sets = np.full((width, len(first)), top)
     sets[np.arange(len(flat)) - first[field_of], field_of] = flat   # [K, N]: a set per column
     _sort_columns(sets)
     repeat = sets[1:] == sets[:-1]
@@ -183,15 +186,11 @@ def _digit_runs(row, stops):
 
 
 def _sort_columns(a):
-    """Sort each column of a 2-D array in place.
+    """Sort each column of a 2-D array of a few rows in place.
 
-    Up to 8 rows, a network of compare-exchanges between whole rows beats
-    ``np.sort``'s call per column (34 µs against 667 µs at 2 x 18,057);
-    its work grows with the square of the rows, so more rows take ``np.sort``.
+    A network of compare-exchanges between whole rows beats ``np.sort``'s
+    call per column (34 µs against 667 µs at 2 x 18,057).
     """
-    if len(a) > 8:
-        a.sort(axis=0)
-        return
     for i in range(len(a) - 1, 0, -1):
         for j in range(i):
             low = np.minimum(a[j], a[j + 1])

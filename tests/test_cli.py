@@ -469,6 +469,7 @@ META_KEYS = ["name", "dataset_index", "role", "n_questions", "n_kcs", "segments"
 @settings(deadline=None, max_examples=150)
 @example(name="low", file="meta.json", key="n_questions", value=10**12, edit=None)
 @example(name="low", file="meta.json", key="n_kcs", value=2**62, edit=None)
+@example(name="low", file="meta.json", key="n_questions", value=10**7, edit=None)   # 2.6 GB
 @example(name="rich0", file="meta.json", key="name", value="low", edit=None)
 @example(name="low", file="test.txt", key=None, value=None,
          edit=("replace", 0, "\u0663", 0))

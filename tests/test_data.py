@@ -238,6 +238,7 @@ def edited_files(draw):
 @example(text="s1,3\n10,11,10\n2_3,4,2\n1,0,1\n100,200,300\n")
 @example(text="s1,3\n10,11,10\n3_3,4_1_4,9_2_5\n1,0,1\n100,200,300\n")   # unsorted, repeated
 @example(text="s1,3\n10,11,10\n12_3_11_1_10_2_9_4_8_5_7_6_3,4,2\n1,0,1\n100,200,300\n")   # 12 KCs
+@example(text="s1,3\n10,11,10\n" + "_".join(["5"] * 10000) + ",4,2\n1,0,1\n100,200,300\n")
 @example(text="s1,3\r\n10,11,10\r\n2_3,4,2\r\n1,0,1\r\n100,200,300\r\n")
 @example(text="s1,3\n10, 11,10\n2_3,4,2\n1,0,1\n100,200,300\n")
 @example(text="s1,3\n10,11,10\n2_3,4,2\n1,0,1\n100,200,1000000000000000000\n")
@@ -260,6 +261,15 @@ def test_write_blocks_output_takes_the_numpy_path(seqs):
         path = Path(d) / "f.txt"
         write_blocks(seqs, path)
         assert ingest(path) == seqs
+
+
+def test_a_set_of_more_than_8_kcs_takes_the_per_token_parser():
+    # the numpy path's [K, N] sort array takes K from the widest set, repeats counted
+    def text(width):
+        return f"s1,3\n10,11,10\n{'_'.join(['5'] * width)},4,2\n1,0,1\n100,200,300\n".encode()
+
+    assert data._parse_digit_blocks(text(8)) is not None
+    assert data._parse_digit_blocks(text(9)) is None
 
 
 def test_write_blocks_keeps_a_negative_kc_id(tmp_path):
