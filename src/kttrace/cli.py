@@ -23,6 +23,7 @@ Workdir layout::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -484,7 +485,9 @@ def cmd_eval(cfg, args):
 # argument parsing and dispatch
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="kttrace",
                      description="knowledge-tracing pipeline: synthesize, "
                                  "preprocess, pre-train, probe importance, "

@@ -539,7 +539,10 @@ def build_vocab(specs, sizes):
 
 
 ROW_WIDTH = 64      # least token capacity of a packed row
-TAPE_CELLS = 512    # most rows x width cells of one packed part, unless it is one row
+TAPE_CELLS = 512    # most rows x width cells of one training part, unless it is one row
+# A forward without a tape keeps only the activations in flight, so
+# scoring three times the cells of a training part peaks lower than it.
+SCORE_CELLS = 3 * TAPE_CELLS
 
 
 @dataclass
@@ -622,15 +625,18 @@ def pack_segments(segments, vocab, dataset_index, dtype=np.float32, per_row=None
                        pred_mask, lengths, positions, starts)
 
 
-def pack_rows(segments, vocab, dataset_index, dtype=np.float32):
+def pack_rows(segments, vocab, dataset_index, dtype=np.float32, cells=None):
     """Pack a batch into rows, cut into ``pack_segments`` parts.
 
     Segments go longest first (ties in batch order) into the first row
     with room for them; a row holds ``max(ROW_WIDTH, longest)`` tokens.
     The rows are cut into consecutive parts of near-equal row count, each
-    of at most ``TAPE_CELLS`` cells (rows x the fullest row's tokens)
-    unless it is a single row. Every segment is in exactly one part, and
-    the plan depends on the segments' lengths only.
+    of at most ``cells`` cells (rows x the fullest row's tokens) unless
+    it is a single row; ``cells`` is ``TAPE_CELLS`` when None, the cap of
+    a part that trains on a tape, and scoring passes ``SCORE_CELLS``. The
+    rows do not depend on the cap, only where they are cut. Every segment
+    is in exactly one part, and the plan depends on the segments' lengths
+    and the cap only.
     """
     if not segments:
         raise ValueError("cannot pack an empty batch")
@@ -645,7 +651,7 @@ def pack_rows(segments, vocab, dataset_index, dtype=np.float32):
             room.append(capacity)
         rows[r].append(i)
         room[r] -= lengths[i]
-    per_part = max(1, TAPE_CELLS // (capacity - min(room)))
+    per_part = max(1, (TAPE_CELLS if cells is None else cells) // (capacity - min(room)))
     n_parts = -(-len(rows) // per_part)
     bounds = [len(rows) * k // n_parts for k in range(n_parts + 1)]
     return [pack_segments([segments[i] for row in rows[a:b] for i in row], vocab,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import pack_rows
+from .data import SCORE_CELLS, pack_rows
 
 
 @dataclass
@@ -93,13 +93,15 @@ def collect_predictions(model, segments, dataset_index):
 
     The first interaction of each segment has no history and is excluded;
     padded positions are excluded by the batch mask. The whole split goes
-    to ``pack_rows`` at once, so it runs in as few ``TAPE_CELLS`` parts as
+    to ``pack_rows`` at once, capped at ``SCORE_CELLS``: no tape is kept,
+    so it runs in as few parts of three times a training part's cells as
     its lengths allow, whatever the training batch size. The pairs come
     segment by segment, shortest first (ties in split order), each
     segment's steps in time order. An empty split is a ValueError.
     """
     ps, ys, lens = [], [], []
-    for batch in pack_rows(segments, model.vocab, dataset_index, dtype=model.dtype):
+    for batch in pack_rows(segments, model.vocab, dataset_index, dtype=model.dtype,
+                           cells=SCORE_CELLS):
         probs = model.predict_batch(batch)
         keep = batch.pred_mask[..., 0] == 1.0
         ps.append(probs[keep])
@@ -113,14 +115,36 @@ def collect_predictions(model, segments, dataset_index):
 
 
 def evaluate(model, named_splits):
-    """One MetricsReport per (dataset, split) entry.
+    """One MetricsReport per (dataset, split) entry, in input order.
 
     ``named_splits`` is an iterable of (dataset_name, dataset_index,
-    split_name, segments); each split is scored whole.
+    split_name, segments). The splits of one dataset are scored in one
+    ``collect_predictions`` call on their segments end to end, and the
+    pooled pairs are cut back per split by their order (shortest segment
+    first, ties in input order), so each split gets the pairs it would
+    get alone. An empty split is a ValueError.
     """
-    reports = []
-    for dataset_name, dataset_index, split_name, segments in named_splits:
+    named_splits = list(named_splits)
+    by_dataset = {}
+    for k, (dataset_name, dataset_index, split_name, segments) in enumerate(named_splits):
+        if not segments:
+            raise ValueError(f"cannot score the empty {split_name!r} split "
+                             f"of {dataset_name!r}")
+        by_dataset.setdefault(dataset_index, []).append(k)
+    pairs = {}
+    for dataset_index, ks in by_dataset.items():
+        splits = [named_splits[k][3] for k in ks]
+        segments = [seg for segs in splits for seg in segs]
         probs, labels = collect_predictions(model, segments, dataset_index)
+        lengths = np.array([len(seg) for seg in segments], dtype=np.int64)
+        split = np.repeat(np.arange(len(ks)), [len(segs) for segs in splits])
+        order = np.argsort(lengths, kind="stable")
+        owner = np.repeat(split[order], lengths[order] - 1)   # each pair's split
+        for j, k in enumerate(ks):
+            pairs[k] = probs[owner == j], labels[owner == j]
+    reports = []
+    for k, (dataset_name, _, split_name, _) in enumerate(named_splits):
+        probs, labels = pairs[k]
         reports.append(MetricsReport(
             dataset=dataset_name, split=split_name,
             auc=auc(probs, labels),

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kttrace
+from kttrace import cli
 from kttrace.cli import ExperimentConfig, UsageError, main
 from kttrace.data import DatasetSpec, build_vocab
 from kttrace.model import KTModel, ModelConfig
@@ -623,7 +624,8 @@ def _json_paths(obj, prefix=()):
         yield from _json_paths(value, prefix + (key,))
 
 
-TINY_HEADER, TINY_PAYLOAD = split_checkpoint(_tiny_checkpoint_bytes())
+TINY_CHECKPOINT = _tiny_checkpoint_bytes()
+TINY_HEADER, TINY_PAYLOAD = split_checkpoint(TINY_CHECKPOINT)
 DROP = "<drop the key>"
 HEADER_VALUES = JSON_VALUES | st.sampled_from(
     [math.nan, math.inf, -math.inf, 10 ** 30, -(2 ** 63), 10 ** 400])
@@ -676,6 +678,26 @@ def test_any_header_mutation_loads_or_raises_a_checkpoint_error(load_in_child, m
     else:
         owner[last] = value
     kind, message = load_in_child(checkpoint_bytes(header, TINY_PAYLOAD))
+    assert kind == "loaded" or kind in CHECKPOINT_ERRORS, f"{kind}: {message}"
+
+
+@settings(deadline=None, max_examples=2000)
+@example(edit=(8, 0x80))       # the header length
+@example(edit=(4, 0x01))       # the version
+@example(edit=(16, 0x20))      # the header's first byte
+@example(edit=(len(TINY_CHECKPOINT) - 1, 0xFF))   # the digest
+@example(edit=16)              # the header cut off
+@given(edit=st.tuples(st.integers(0, len(TINY_CHECKPOINT) - 1), st.integers(1, 255))
+       | st.integers(0, len(TINY_CHECKPOINT) - 1))
+def test_any_byte_change_or_truncation_loads_or_raises_a_checkpoint_error(load_in_child,
+                                                                          edit):
+    # an (offset, mask) pair XORs one byte; an int keeps that many leading bytes
+    if isinstance(edit, tuple):
+        blob = bytearray(TINY_CHECKPOINT)
+        blob[edit[0]] ^= edit[1]
+    else:
+        blob = TINY_CHECKPOINT[:edit]
+    kind, message = load_in_child(bytes(blob))
     assert kind == "loaded" or kind in CHECKPOINT_ERRORS, f"{kind}: {message}"
 
 
@@ -744,6 +766,30 @@ def test_seed_flag_acts_as_the_config_seed(tmp_path, capsys):
     files = outputs(flagged, "--seed", "5")
     assert {p.name for p in files} >= {"rich0.txt", "train.txt", "pretrained.lrkt"}
     assert files == outputs(seeded)
+
+
+def test_calls_in_one_process_parse_independently(tmp_path, capsys, monkeypatch):
+    cfg = str(write_config(tmp_path))
+    seen = []
+
+    def record(cfg, args):
+        seen.append((vars(args), cfg.seed))
+        return {"command": args.command}
+
+    for command in ("preprocess", "eval"):
+        monkeypatch.setitem(cli._COMMANDS, command, record)
+    assert run_cli(capsys, "preprocess", "--config", cfg, "--seed", "5",
+                   "--dataset", "low")[0] == 0
+    assert run_cli(capsys, "eval", "--config", cfg, "--checkpoint", "m.lrkt")[0] == 0
+    assert run_cli(capsys, "eval", "--config", cfg, "--dataset", "low")[0] == 1  # no --checkpoint
+    assert run_cli(capsys, "eval", "--config", cfg, "--seed", "-2",
+                   "--checkpoint", "n.lrkt")[0] == 0
+    evals = {"command": "eval", "config": cfg, "dataset": None, "out": None}
+    assert seen == [
+        ({"command": "preprocess", "config": cfg, "seed": 5, "dataset": "low"}, 5),
+        (dict(evals, seed=None, checkpoint="m.lrkt"), 11),
+        (dict(evals, seed=-2, checkpoint="n.lrkt"), -2)]
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_synth_seed_flag_overrides_the_section_seed(tmp_path, capsys):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from kttrace import metrics
 from kttrace.data import (
+    SCORE_CELLS,
     TAPE_CELLS,
     SyntheticConfig,
     generate_synthetic,
@@ -21,7 +23,7 @@ from kttrace.metrics import (
     write_reports_csv,
     write_reports_json,
 )
-from helpers import build_tiny, hand_sequences, seq_of
+from helpers import build_tiny, hand_sequences, seq_of, shares_rows
 from oracles import pairwise_auc
 
 
@@ -140,7 +142,7 @@ def test_collect_predictions_equal_scoring_each_segment_alone():
     cfg = SyntheticConfig(n_students=200, n_questions=12, n_kcs=6, mean_seq_len=10, seed=4)
     segs = preprocess(generate_synthetic(cfg)[0], seed=5).train
     model, vocab = build_tiny(seed=7, n_layers=2, max_seq_len=200)
-    assert len(pack_rows(segs, vocab, 0, dtype=np.float64)) >= 2
+    assert len(pack_rows(segs, vocab, 0, dtype=np.float64, cells=SCORE_CELLS)) >= 2
     probs, labels = collect_predictions(model, segs, dataset_index=0)
     ordered = sorted(segs, key=len)   # shortest first, ties in split order
     want_p = np.concatenate([
@@ -186,6 +188,49 @@ def test_evaluate_reports_per_dataset_split():
     assert [(r.dataset, r.split) for r in reports] == [("d0", "test"), ("d0", "valid")]
     assert reports[0].n_predictions == 5
     assert reports[0].auc == reports[1].auc
+
+
+def synthetic_splits(seed, n_students=200):
+    cfg = SyntheticConfig(n_students=n_students, n_questions=12, n_kcs=6,
+                          mean_seq_len=10, seed=seed)
+    return preprocess(generate_synthetic(cfg)[0], seed=seed + 1)
+
+
+def test_evaluate_scores_a_dataset_once_and_each_split_as_if_alone(monkeypatch):
+    model, vocab = build_tiny(seed=7, n_layers=2, max_seq_len=200)
+    d0, d1 = synthetic_splits(4), synthetic_splits(6, n_students=120)
+    named = [("d0", 0, "valid", d0.valid), ("d1", 1, "test", d1.test),
+             ("d0", 0, "test", d0.test), ("d0", 0, "train", d0.train),
+             ("d1", 1, "valid", d1.valid)]
+    pooled = pack_rows(d0.valid + d0.test + d0.train, vocab, 0, cells=SCORE_CELLS)
+    assert len(pooled) >= 2 and shares_rows(pooled)
+    alone = [collect_predictions(model, segs, index) for _, index, _, segs in named]
+    calls, scored = [], []
+    collect, score = metrics.collect_predictions, metrics.auc
+
+    def counted(model, segments, dataset_index):
+        calls.append(dataset_index)
+        return collect(model, segments, dataset_index)
+
+    def recorded(probs, labels):
+        scored.append((probs, labels))
+        return score(probs, labels)
+
+    monkeypatch.setattr(metrics, "collect_predictions", counted)
+    monkeypatch.setattr(metrics, "auc", recorded)
+    reports = evaluate(model, iter(named))
+    assert sorted(calls) == [0, 1]
+    assert [(r.dataset, r.split) for r in reports] == [(d, s) for d, _, s, _ in named]
+    for report, (probs, labels), (want_p, want_y) in zip(reports, scored, alone):
+        assert report.n_predictions == len(labels) == len(want_y)
+        np.testing.assert_array_equal(labels, want_y)
+        np.testing.assert_allclose(probs, want_p, rtol=1e-12, atol=0)
+
+
+def test_evaluate_rejects_an_empty_split_among_others():
+    model, _ = build_tiny()
+    with pytest.raises(ValueError, match="empty 'test' split of 'd0'"):
+        evaluate(model, [("d0", 0, "valid", hand_sequences()), ("d0", 0, "test", [])])
 
 
 def test_evaluate_is_deterministic():

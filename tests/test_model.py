@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from kttrace.autograd import Tape, Tensor, bce_loss, mean_over_axis, mul
 from kttrace.data import (
+    SCORE_CELLS,
     TAPE_CELLS,
     DatasetSpec,
     build_vocab,
@@ -444,6 +447,37 @@ def test_a_batch_within_tape_cells_runs_as_one_forward(monkeypatch):
     monkeypatch.setattr(KTModel, "forward_batch", counted)
     model.backward_batch(segs, 0, drop_p=0.1, rng=np.random.default_rng(0))
     assert calls == [part.questions.shape]
+
+
+def _traced_peak(fn):
+    """Bytes that ``fn()`` allocates at its peak, over what was live before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("arch, length", [((4, 64, 4, 128), 64),
+                                          (PRESETS["base-89M"], 200)],
+                         ids=["d64", "base-89M"])
+def test_scoring_at_the_score_cap_peaks_below_one_training_part(arch, length):
+    # scoring keeps no tape, which is what lets evaluation cut its parts at
+    # SCORE_CELLS while training cuts at TAPE_CELLS
+    model = KTModel.build(ModelConfig(*arch, dropout=0.0, max_seq_len=length),
+                          tiny_vocab(), seed=0, dtype=np.float32)
+    segs = random_segments([length] * (SCORE_CELLS // length), seed=11)
+    (part,) = pack_rows(segs, model.vocab, 0, np.float32, cells=SCORE_CELLS)
+    train = segs[:TAPE_CELLS // length]
+    (tape_part,) = pack_rows(train, model.vocab, 0, np.float32)
+    assert part.questions.size > 2 * tape_part.questions.size
+    model.predict_batch(part)
+    model.backward_batch(train, 0)   # one-time allocations stay out of the peaks
+    scoring = _traced_peak(lambda: model.predict_batch(part))
+    training = _traced_peak(lambda: model.backward_batch(train, 0))
+    assert scoring <= training, (scoring, training)
 
 
 # ---------------------------------------------------------------------------
