@@ -93,11 +93,12 @@ def collect_predictions(model, segments, dataset_index):
 
     The first interaction of each segment has no history and is excluded;
     padded positions are excluded by the batch mask. The whole split goes
-    to ``pack_rows`` at once, capped at ``SCORE_CELLS``: no tape is kept,
-    so it runs in as few parts of three times a training part's cells as
-    its lengths allow, whatever the training batch size. The pairs come
-    segment by segment, shortest first (ties in split order), each
-    segment's steps in time order. An empty split is a ValueError.
+    to ``pack_rows`` at once, at the scoring cap ``SCORE_CELLS`` (three
+    times a training part's cells, since no tape is kept), so it runs in
+    as few parts as its lengths allow, whatever the training batch size.
+    The pairs come segment by segment, shortest first (ties in split
+    order), each segment's steps in time order. An empty split is a
+    ValueError.
     """
     ps, ys, lens = [], [], []
     for batch in pack_rows(segments, model.vocab, dataset_index, dtype=model.dtype,
