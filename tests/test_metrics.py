@@ -138,9 +138,14 @@ def test_collect_predictions_pools_the_pairs_of_one_pack():
     assert np.abs(probs[got] - want_p[want]).max() <= 1e-12 * want_p.max()
 
 
+def synthetic_splits(seed, n_students=200):
+    cfg = SyntheticConfig(n_students=n_students, n_questions=12, n_kcs=6,
+                          mean_seq_len=10, seed=seed)
+    return preprocess(generate_synthetic(cfg)[0], seed=seed + 1)
+
+
 def test_collect_predictions_equal_scoring_each_segment_alone():
-    cfg = SyntheticConfig(n_students=200, n_questions=12, n_kcs=6, mean_seq_len=10, seed=4)
-    segs = preprocess(generate_synthetic(cfg)[0], seed=5).train
+    segs = synthetic_splits(4).train
     model, vocab = build_tiny(seed=7, n_layers=2, max_seq_len=200)
     assert len(pack_rows(segs, vocab, 0, dtype=np.float64, cells=SCORE_CELLS)) >= 2
     probs, labels = collect_predictions(model, segs, dataset_index=0)
@@ -188,12 +193,6 @@ def test_evaluate_reports_per_dataset_split():
     assert [(r.dataset, r.split) for r in reports] == [("d0", "test"), ("d0", "valid")]
     assert reports[0].n_predictions == 5
     assert reports[0].auc == reports[1].auc
-
-
-def synthetic_splits(seed, n_students=200):
-    cfg = SyntheticConfig(n_students=n_students, n_questions=12, n_kcs=6,
-                          mean_seq_len=10, seed=seed)
-    return preprocess(generate_synthetic(cfg)[0], seed=seed + 1)
 
 
 def test_evaluate_scores_a_dataset_once_and_each_split_as_if_alone(monkeypatch):
