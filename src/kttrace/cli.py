@@ -26,12 +26,9 @@ import argparse
 import functools
 import json
 import logging
-import os
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from .autograd import NumericalError
 from .data import (
@@ -41,6 +38,7 @@ from .data import (
     Splits,
     SyntheticConfig,
     build_vocab,
+    can_reserve,
     generate_synthetic,
     ingest,
     observed_id_sizes,
@@ -310,21 +308,13 @@ def _check_adapt_room(model, prepared):
 
     ``zero_shot_adapt``'s peak is two float64 copies of the new rows (the
     noise and its sum with the mean), and it writes every page of them.
-    Where the OS overcommits memory, a reservation larger than physical
-    memory can succeed and the writes then get the process killed, so
-    such counts are refused first. A smaller peak is reserved once without
-    writing, so a limit such as ``RLIMIT_AS`` refuses it here, not midway.
     """
     peak = 16 * (prepared.n_questions + prepared.n_kcs + 2) * model.config.d_model
-    try:
-        if peak > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
-            raise MemoryError
-        np.empty(peak, dtype=np.uint8)
-    except MemoryError:
+    if not can_reserve(peak):
         raise DataFormatError(
             f"dataset {prepared.spec.name!r}: the embedding rows of {prepared.n_questions} "
             f"questions and {prepared.n_kcs} KCs need {peak} bytes, more than this "
-            f"process can reserve") from None
+            f"process can reserve")
 
 
 def adapt_if_needed(model, prepared, seed):

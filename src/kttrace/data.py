@@ -1,14 +1,8 @@
 """Dataset ingestion, preprocessing, vocabulary unification and synthesis.
 
-The on-disk format is a 5-line block per student:
-
-    line 1: student_id,length
-    line 2: question IDs, comma-separated
-    line 3: KC sets, comma-separated; multiple KCs of one question joined by '_'
-    line 4: responses (0/1), comma-separated
-    line 5: timestamps (ms), comma-separated
-
-Blocks are separated by a blank line.
+The on-disk format is a 5-line block per student (``student_id,length``,
+then question IDs, KC sets, responses and timestamps), blocks apart by
+empty lines; the README's "Dataset file format" states its grammar.
 
 In memory a :class:`StudentSequence` is columnar: one int64 array per
 field, KC sets as the rows of an ``[L, K]`` array right-padded with -1.
@@ -19,6 +13,7 @@ is a view into it, so no Python object exists per interaction.
 from __future__ import annotations
 
 import json
+import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -96,93 +91,184 @@ class PreparedDataset:
 def ingest(path):
     """Parse a block-format file into one StudentSequence per block.
 
-    Tokens are parsed with ``int``. Of several faults, the first parse
-    fault (a bad token, field count, length or KC set) is reported, else
-    the earliest attempt with a bad response, timestamp or ID, in that order.
-
-    A file in the canonical grammar (data tokens of 1 to 18 ASCII digits
-    joined by single ``,`` and, in KC fields, ``_``, at most 8 KCs to a
-    set; ``\\n`` line ends; blocks apart by empty lines) is parsed in
-    whole-file numpy passes. Any other file goes through the per-token
-    parser, which accepts and rejects the same files with the same result.
+    The grammar is the README's "Dataset file format". Of several faults,
+    the first parse fault in file order is reported, else the earliest
+    attempt with a bad response, timestamp or ID, in that order.
     """
     with open(path, "rb") as fh:
-        parsed = _parse_digit_blocks(fh.read())
-    if parsed is None:
-        with open(path, "r", encoding="utf-8") as fh:
-            parsed = _parse_tokens(fh.read())
-    return _sequences(*parsed)
+        parsed = _parse_blocks(fh.read())
+    return _sequences(*parsed) if parsed else []
 
 
-def _parse_digit_blocks(data):
-    """``_parse_tokens``' result for a file in the canonical grammar, else None.
+def _parse_blocks(data):
+    """Each block's header line index, student ID and end row, and one
+    array per field, of a block-format file's bytes; None for no block.
 
-    Python work is per block: find the blocks and read their headers.
-    Each data row is joined across blocks and parsed in one numpy pass.
+    Raises ``DataFormatError`` for the first parse fault in file order:
+    block by block, and in a block its header, its data lines' tokens,
+    then its field counts. Python works per block only; each data row is
+    joined across blocks and checked and parsed in whole-row numpy passes.
     """
-    if b"\r" in data:   # text mode reads "\r" as a line end
-        return None
-    lines = data.split(b"\n")
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataFormatError(f"line {line}: not UTF-8 text") from None
+    # replace copies the file even when nothing matches
+    lines = (data.replace(b"\r\n", b"\n") if b"\r" in data else data).split(b"\n")
     heads, student_ids, declared = [], [], []
+    faults = []   # (block, rank within the block, message)
     i, n = 0, len(lines)
     while i < n:
         if not lines[i]:
             i += 1
             continue
-        try:   # the per-token parser's header rule, exactly
-            parts = lines[i].decode("utf-8").strip().rsplit(",", 1)
-            declared.append(int(parts[1]))
-        except (UnicodeDecodeError, IndexError, ValueError):
-            return None
+        text = lines[i].decode("utf-8")
+        parts = text.strip().rsplit(",", 1)
+        fault = ("truncated block (need 5 lines)" if i + 4 >= n
+                 else f"header must be 'student_id,length', got {text!r}"
+                 if len(parts) != 2 or "\r" in text
+                 else f"bad length {parts[1]!r}"
+                 if not (parts[1].isascii() and parts[1].isdigit()) else None)
+        if fault:
+            faults.append((len(heads), 0, f"line {i + 1}: {fault}"))
+            break
         heads.append(i)
         student_ids.append(parts[0].strip())
+        declared.append(int(parts[1]))
         i += 5
-    if not heads or i > n:   # no block, or the last one cut short
+    if not heads:
+        if faults:
+            raise DataFormatError(faults[0][2])
         return None
-    rows = [_digit_runs(b"\n".join([lines[h + k] for h in heads]), b",\n" if k != 2 else b",_\n")
-            for k in (1, 2, 3, 4)]
-    if any(row is None for row in rows):
-        return None
-    (q, q_cuts), (flat, kc_cuts), (r, r_cuts), (t, t_cuts) = rows
+    rows = [_scan(b"\n".join([lines[h + k] for h in heads]), what)
+            for k, what in enumerate(("question ID", None, "response", "timestamp"), 1)]
+    for k, (_, _, bad) in enumerate(rows, 1):
+        if bad:
+            faults.append((bad[0], k, f"line {heads[bad[0]] + k + 1}: {bad[1]}"))
+    (q, q_cuts, _), (flat, kc_cuts, _), (r, r_cuts, _), (t, t_cuts, _) = rows
     # the KC row's fields end at "," and "\n", its KCs at "_" too
     new_field = np.concatenate(([True], kc_cuts != ord("_")))
-    field_of = np.cumsum(new_field) - 1
-    counts = [_per_line(cuts) for cuts in (q_cuts, kc_cuts[new_field[1:]], r_cuts, t_cuts)]
-    if not all(np.array_equal(c, declared) for c in counts):
-        return None
+    counts = [np.diff(np.flatnonzero(np.append(cuts, ord("\n")) == ord("\n")), prepend=-1)
+              for cuts in (q_cuts, kc_cuts[new_field[1:]], r_cuts, t_cuts)]   # values per line
+    unequal = np.any([c != counts[0] for c in counts[1:]], axis=0)
+    # an object array, so that a length beyond int64 compares too
+    wrong = unequal | (counts[0] != np.array(declared, dtype=object))
+    if wrong.any():
+        b = int(np.argmax(wrong))
+        faults.append((b, 5, f"line {heads[b] + 1}: " + (
+            f"unequal field counts across block lines ({'/'.join(str(c[b]) for c in counts)})"
+            if unequal[b] else f"declared length {declared[b]} != {counts[0][b]} fields")))
+    if faults:
+        raise DataFormatError(min(faults)[2])
     bounds = list(accumulate(declared, initial=0))
+    kcs = _kc_sets(flat, new_field, lambda j: heads[bisect_right(bounds, j) - 1] + 3)
+    return heads, student_ids, bounds, q, r, t, kcs
+
+
+def _scan(row, what):
+    """(values, the byte after each token but the last, first fault) of a
+    data row joined across blocks, ``\\n`` between them.
+
+    ``what`` names the row's values, None the KC row's, whose KCs are
+    joined by ``_`` too. The fault is None, or (block, message) for the
+    first token that is not a data token or does not fit in int64; only a
+    row without one is parsed.
+    """
+    buf = np.frombuffer(row, dtype=np.uint8)
+    other = np.flatnonzero((buf - ord("0")) >= 10)   # uint8 wraps the bytes below "0"
+    byte = buf[other]
+    is_cut = (byte == ord(",")) | (byte == ord("\n"))
+    if what is None:
+        is_cut |= byte == ord("_")
+    cut, odd = other[is_cut], other[~is_cut]
+    cuts = buf[cut]
+    start = np.concatenate(([0], cut + 1))   # token j is row[start[j]:end[j]]
+    end = np.append(cut, len(buf))
+    digits = end - start
+    tok = np.searchsorted(cut, odd)   # the token of each byte that is no digit and no cut
+    sign = (buf[odd] == ord("-")) & (odd == start[tok])
+    digits[tok[sign]] -= 1
+    bad = (digits < 1) | (digits > 19)
+    bad[tok[~sign]] = True
+    over = [j for j in np.flatnonzero(~bad & (digits == 19)).tolist()
+            if not -2**63 <= int(row[start[j]:end[j]]) < 2**63]
+    bad[over] = True
+    if not bad.any():
+        # every token fits in int64, so numpy's text reader parses each exactly
+        stops = b"\n" if what else b"_\n"
+        return np.fromstring(row.translate(bytes.maketrans(stops, b"," * len(stops))),
+                             dtype=np.int64, sep=","), cuts, None
+    j = int(np.argmax(bad))
+    newline = cut[cuts == ord("\n")]
+    block = int(np.searchsorted(newline, start[j]))
+    if j in over:
+        return None, cuts, (block, "a value does not fit in 64 bits")
+    if what:
+        return None, cuts, (block, f"bad {what} value {row[start[j]:end[j]].decode()!r}")
+    lo = int(newline[block - 1]) + 1 if block else 0
+    line = row[lo:].split(b"\n", 1)[0]
+    column = line.count(b",", 0, start[j] - lo) + 1
+    field = line.split(b",")[column - 1].decode()
+    return None, cuts, (block, f"bad KC set {field!r}" if field
+                        else f"empty KC set in column {column}")
+
+
+def _kc_sets(flat, new_field, line_of):
+    """The ``[N, K]`` array of sorted, de-duplicated KC sets, right-padded
+    with -1, of the KCs ``flat``, where ``new_field`` marks each set's first.
+
+    Sets of at most 8 KCs, repeats counted, are sorted together by a
+    compare-exchange network on a ``[K, N]`` array, whose work grows with
+    K**2; each wider set is sorted alone, so memory stays the KCs plus
+    the output. An output too large to reserve raises ``DataFormatError``
+    naming ``line_of(i)``, the line of its widest set i.
+    """
     first = np.flatnonzero(new_field)
-    width = int(np.diff(first, append=len(flat)).max())   # KCs of the widest set, repeats too
-    if width > 8:   # the [K, N] array grows with K at every attempt, the network with K**2
-        return None
-    top = np.iinfo(np.int64).max   # above any 18-digit ID: sorts last
-    sets = np.full((width, len(first)), top)
-    sets[np.arange(len(flat)) - first[field_of], field_of] = flat   # [K, N]: a set per column
+    raw = np.diff(first, append=len(flat))   # KCs of each set, repeats too
+    set_of = np.cumsum(new_field) - 1
+    top = np.iinfo(np.int64).max   # sorts last
+    sets = np.full((min(int(raw.max()), 8), len(first)), top)   # [K, N]: a set per column
+    # a wide set's column takes some of its KCs; it is sorted alone below
+    sets[np.minimum(np.arange(len(flat)) - first[set_of], len(sets) - 1), set_of] = flat
     _sort_columns(sets)
     repeat = sets[1:] == sets[:-1]
     if repeat.any():
         sets[1:][repeat] = top
         _sort_columns(sets)
-    kcs = np.ascontiguousarray(sets[:int((sets != top).any(axis=1).sum())].T)
-    kcs[kcs == top] = -1
-    return heads, student_ids, bounds, q, r, t, kcs
+    real_top = set_of[flat == top]   # the sets with a KC equal to the sentinel
+    size = (sets != top).sum(axis=0)
+    size[real_top] += 1   # a repeated index adds once
+    wide = {i: np.unique(flat[first[i]:first[i] + raw[i]]) for i in np.flatnonzero(raw > 8)}
+    for i, kcs in wide.items():
+        size[i] = len(kcs)
+    widest = int(np.argmax(size))
+    width = int(size[widest])
+    if not can_reserve(8 * len(first) * width):
+        raise DataFormatError(
+            f"line {line_of(widest)}: a set of {width} KCs makes the KC array of "
+            f"{len(first)} attempts {8 * len(first) * width} bytes, more than this "
+            f"process can reserve")
+    out = np.full((len(first), width), -1, dtype=np.int64)
+    out[:, :len(sets)] = sets[:width].T
+    out[out == top] = -1
+    out[real_top, size[real_top] - 1] = top   # such a KC is its set's last
+    for i, kcs in wide.items():
+        out[i, :len(kcs)] = kcs
+    return out
 
 
-def _digit_runs(row, stops):
-    """(values, the byte after each value but the last) of ``row`` read
-    as runs of 1 to 18 ASCII digits apart by single bytes of ``stops``;
-    None for any other text."""
-    buf = np.frombuffer(row, dtype=np.uint8)
-    cut = np.flatnonzero((buf - ord("0")) >= 10)   # uint8 wraps the bytes below "0"
-    cuts = buf[cut]
-    width = np.diff(cut, prepend=-1, append=len(buf)) - 1
-    allowed = np.zeros(256, dtype=bool)
-    allowed[list(stops)] = True
-    if width.min() < 1 or width.max() > 18 or not allowed[cuts].all():
-        return None
-    # every value fits in int64, so numpy's text reader parses each exactly
-    return np.fromstring(row.translate(bytes.maketrans(stops, b"," * len(stops))),
-                         dtype=np.int64, sep=","), cuts
+def can_reserve(nbytes):
+    """Whether this process can make an array of ``nbytes`` bytes: not more
+    than physical memory, which an overcommitting OS may promise and then
+    kill for, and reserved once, so ``RLIMIT_AS`` refuses it here, not midway."""
+    if nbytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        return False
+    try:
+        np.empty(nbytes, dtype=np.uint8)
+    except MemoryError:
+        return False
+    return True
 
 
 def _sort_columns(a):
@@ -196,95 +282,6 @@ def _sort_columns(a):
             low = np.minimum(a[j], a[j + 1])
             np.maximum(a[j], a[j + 1], out=a[j + 1])
             a[j] = low
-
-
-def _per_line(cuts):
-    """Values per line of a joined row, from the stop bytes between its values."""
-    return np.diff(np.concatenate(([0], np.flatnonzero(cuts == ord("\n")) + 1, [len(cuts) + 1])))
-
-
-def _parse_int_row(raw, line_no, what):
-    tokens = raw.split(",")
-    try:
-        return list(map(int, tokens))
-    except ValueError:
-        for tok in tokens:
-            try:
-                int(tok)
-            except ValueError:
-                raise DataFormatError(f"line {line_no}: bad {what} value {tok.strip()!r}") from None
-
-
-def _parse_tokens(text):
-    """Parse a file's text token by token, with Python ``int``.
-
-    Returns each block's header line index, student ID and end row, and
-    one array per field; raises ``DataFormatError`` on the first parse
-    fault. ``_sequences`` checks the values.
-    """
-    lines = text.split("\n")
-    heads, student_ids, bounds = [], [], [0]   # per block: line index, id, end row
-    questions, responses, stamps, kc_flat, kc_counts = [], [], [], [], []
-    i = 0
-    n = len(lines)
-    while i < n:
-        if not lines[i].strip():
-            i += 1
-            continue
-        if i + 4 >= n:
-            raise DataFormatError(f"line {i + 1}: truncated block (need 5 lines)")
-        header = lines[i].strip()
-        parts = header.rsplit(",", 1)
-        if len(parts) != 2:
-            raise DataFormatError(f"line {i + 1}: header must be 'student_id,length', got {header!r}")
-        try:
-            declared = int(parts[1])
-        except ValueError:
-            raise DataFormatError(f"line {i + 1}: bad length {parts[1]!r}") from None
-
-        q_ids = _parse_int_row(lines[i + 1], i + 2, "question ID")
-        kc_fields = lines[i + 2].split(",")
-        block_responses = _parse_int_row(lines[i + 3], i + 4, "response")
-        block_stamps = _parse_int_row(lines[i + 4], i + 5, "timestamp")
-
-        lengths = (len(q_ids), len(kc_fields), len(block_responses), len(block_stamps))
-        if len(set(lengths)) != 1:
-            raise DataFormatError(
-                f"line {i + 1}: unequal field counts across block lines "
-                f"({'/'.join(map(str, lengths))})")
-        if declared != len(q_ids):
-            raise DataFormatError(
-                f"line {i + 1}: declared length {declared} != {len(q_ids)} fields")
-        for j, kc_raw in enumerate(map(str.strip, kc_fields)):
-            if not kc_raw:
-                raise DataFormatError(f"line {i + 3}: empty KC set in column {j + 1}")
-            try:   # most attempts name one KC, which needs no set
-                kc_set = (sorted({int(t) for t in kc_raw.split("_")}) if "_" in kc_raw
-                          else (int(kc_raw),))
-            except ValueError:
-                raise DataFormatError(f"line {i + 3}: bad KC set {kc_raw!r}") from None
-            kc_flat.extend(kc_set)
-            kc_counts.append(len(kc_set))
-        questions.extend(q_ids)
-        responses.extend(block_responses)
-        stamps.extend(block_stamps)
-        heads.append(i)
-        student_ids.append(parts[0].strip())
-        bounds.append(len(questions))
-        i += 5
-
-    try:
-        q, r, t, flat = (np.array(v, dtype=np.int64)
-                         for v in (questions, responses, stamps, kc_flat))
-    except OverflowError:
-        line = next(h + k for h in heads for k in (1, 2, 3, 4) if not all(
-            -2**63 <= int(tok) < 2**63 for tok in lines[h + k].replace("_", ",").split(",")))
-        raise DataFormatError(f"line {line + 1}: a value does not fit in 64 bits") from None
-
-    counts = np.array(kc_counts, dtype=np.int64)
-    kcs = np.full((len(counts), int(counts.max(initial=1))), -1, dtype=np.int64)
-    kcs[np.arange(kcs.shape[1]) < counts[:, None]] = flat   # column 0: each set's least KC
-    return heads, student_ids, bounds, q, r, t, kcs
 
 
 def _sequences(heads, student_ids, bounds, q, r, t, kcs):

@@ -158,16 +158,6 @@ class KTModel:
                 model.param(name).data[...] = 1.0
         return model
 
-    @classmethod
-    def from_arrays(cls, config, vocab, arrays, dtype=np.float32):
-        model = cls(config, vocab, np.empty(parameter_count(config, vocab), dtype=dtype))
-        for name, t in model.parameters().items():
-            arr = np.asarray(arrays[name], dtype=dtype)
-            if arr.shape != t.shape:
-                raise ValueError(f"parameter {name}: expected shape {t.shape}, got {arr.shape}")
-            t.data[...] = arr
-        return model
-
     # -- introspection ------------------------------------------------------
 
     def parameters(self):
@@ -345,15 +335,16 @@ def zero_shot_adapt(model, name, n_questions, n_kcs, seed, noise_std=0.01):
         # layout: old real rows | new real rows | old UNK rows | new UNK row
         return np.concatenate([real, fresh[:n_new], unks, fresh[n_new:]], axis=0)
 
-    arrays = OrderedDict()
-    for pname, t in model.parameters().items():
+    adapted = KTModel(model.config, new_vocab,
+                      np.empty(parameter_count(model.config, new_vocab), dtype=dtype))
+    for (pname, t), target in zip(model.parameters().items(),
+                                  adapted.views(adapted.flat_params).values()):
         if pname == "emb.question":
-            arrays[pname] = grow_table(t.data, old_vocab.total_questions, n_questions)
+            target[...] = grow_table(t.data, old_vocab.total_questions, n_questions)
         elif pname == "emb.kc":
-            arrays[pname] = grow_table(t.data, old_vocab.total_kcs, n_kcs)
+            target[...] = grow_table(t.data, old_vocab.total_kcs, n_kcs)
         elif pname == "emb.dataset":
-            row = t.data.mean(axis=0, keepdims=True).astype(dtype)
-            arrays[pname] = np.concatenate([t.data, row], axis=0)
+            target[...] = np.concatenate([t.data, t.data.mean(axis=0, keepdims=True)], axis=0)
         else:
-            arrays[pname] = t.data
-    return KTModel.from_arrays(model.config, new_vocab, arrays, dtype=dtype)
+            target[...] = t.data
+    return adapted

@@ -224,7 +224,8 @@ class Checkpoint:
         return cls(model.config, model.vocab, params, dict(metadata))
 
     def build_model(self, dtype=np.float32):
-        return KTModel.from_arrays(self.config, self.vocab, self.params, dtype=dtype)
+        return KTModel(self.config, self.vocab,
+                       np.concatenate([a.reshape(-1) for a in self.params.values()], dtype=dtype))
 
 
 def save_checkpoint(ckpt, path):

@@ -104,7 +104,7 @@ def split_checkpoint(blob):
     return json.loads(blob[16:16 + header_len]), blob[16 + header_len:-32]
 
 
-EDIT_CHARS = "0123456789,_-+ \r\nx\u0663"
+EDIT_CHARS = "0123456789,_-+ \t\r\nx\u0663"
 
 
 # (kind, position modulo the text's length + 1, character, 19-digit token)
@@ -120,3 +120,31 @@ def apply_edit(text, edit):
     at %= len(text) + 1
     new = {"insert": char, "delete": "", "replace": char, "long token": str(token)}[kind]
     return text[:at] + new + text[at + (kind in ("delete", "replace")):]
+
+
+BLOCK = "s1,3\n10,11,10\n2_3,4,2\n1,0,1\n100,200,300\n"
+
+# One file of each kind outside the grammar of data files, and its
+# message; the per-token parser of earlier versions loaded most of them.
+OUTSIDE_THE_GRAMMAR = {
+    "underscore-in-a-response": (BLOCK.replace("1,0,1", "0_1,0,1"),
+                                 "line 4: bad response value '0_1'"),
+    "underscore-in-a-question": (BLOCK.replace("10,11,10", "1_0,11,10"),
+                                 "line 2: bad question ID value '1_0'"),
+    "plus-sign": (BLOCK.replace("100,200", "+100,200"), "line 5: bad timestamp value '+100'"),
+    "signed-length": (BLOCK.replace("s1,3", "s1,+3"), "line 1: bad length '+3'"),
+    "space-around-a-token": (BLOCK.replace("10,11", "10, 11"),
+                             "line 2: bad question ID value ' 11'"),
+    "tab-after-a-kc": (BLOCK.replace("2_3,4", "2_3\t,4"), "line 3: bad KC set '2_3\\t'"),
+    "arabic-indic-digit": (BLOCK.replace("10,11", "10,\u0663"),
+                           "line 2: bad question ID value '\u0663'"),
+    "full-width-digit": (BLOCK.replace("1,0,1", "1,\uff10,1"),
+                         "line 4: bad response value '\uff10'"),
+    "whitespace-only-separator-line": (BLOCK + " \t\n" + BLOCK,
+                                       "line 6: header must be 'student_id,length', got ' \\t'"),
+    "lone-carriage-return": (BLOCK.replace("1,0,1\n", "1,0,1\r"),
+                             "line 4: bad response value '1\\r100'"),
+    "lone-carriage-return-in-a-header": (BLOCK.replace("s1,3\n", "s1,3\r\r\n"),
+                                         "line 1: header must be 'student_id,length', "
+                                         "got 's1,3\\r'"),
+}

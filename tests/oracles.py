@@ -6,10 +6,11 @@ paths.
 """
 
 import math
+import re
 
 import numpy as np
 
-from kttrace.data import PackedBatch, pack_segments
+from kttrace.data import DataFormatError, PackedBatch, pack_segments
 
 PROB_CLAMP = 1e-7
 
@@ -351,3 +352,90 @@ def oracle_simulate(theta, difficulty, question_kcs, n_kcs, learning_rate, mean_
                 exposure[c] += 1
         out.append((qs.tolist(), responses, probs))
     return out
+
+
+DATA_TOKEN = re.compile("-?[0-9]{1,19}")
+
+
+def _token(tok, line_no, fault):
+    """The int64 value of a data token, else ``DataFormatError``: ``fault``
+    for text that is not a data token."""
+    if not DATA_TOKEN.fullmatch(tok):
+        raise DataFormatError(f"line {line_no}: {fault}")
+    if not -2**63 <= int(tok) < 2**63:
+        raise DataFormatError(f"line {line_no}: a value does not fit in 64 bits")
+    return int(tok)
+
+
+def oracle_parse_blocks(data):
+    """``data._parse_blocks`` one line and one token at a time, with Python
+    ``int`` and a regular expression per token.
+
+    The grammar is the README's: UTF-8 text; ``\\r\\n`` or ``\\n`` line
+    ends; blocks of 5 lines apart by empty lines; a header
+    ``student_id,length`` with ASCII digits for the length; data tokens of
+    an optional ``-`` and 1 to 19 ASCII digits that fit in int64, joined by
+    single ``,`` and, in a KC set, ``_``. The first fault in file order
+    raises: block by block, and within a block its header, its data lines
+    in order, then its field counts.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data[:exc.start].count(b"\n") + 1
+        raise DataFormatError(f"line {line}: not UTF-8 text") from None
+    lines = text.replace("\r\n", "\n").split("\n")
+    heads, student_ids, bounds = [], [], [0]
+    questions, responses, stamps, kc_sets = [], [], [], []
+    i = 0
+    while i < len(lines):
+        if not lines[i]:
+            i += 1
+            continue
+        if i + 4 >= len(lines):
+            raise DataFormatError(f"line {i + 1}: truncated block (need 5 lines)")
+        header = lines[i]
+        parts = header.strip().rsplit(",", 1)
+        if len(parts) != 2 or "\r" in header:
+            raise DataFormatError(
+                f"line {i + 1}: header must be 'student_id,length', got {header!r}")
+        if not re.fullmatch("[0-9]+", parts[1]):
+            raise DataFormatError(f"line {i + 1}: bad length {parts[1]!r}")
+
+        q_ids = [_token(tok, i + 2, f"bad question ID value {tok!r}")
+                 for tok in lines[i + 1].split(",")]
+        block_sets = []
+        for column, field in enumerate(lines[i + 2].split(","), 1):
+            if not field:
+                raise DataFormatError(f"line {i + 3}: empty KC set in column {column}")
+            block_sets.append(sorted({_token(tok, i + 3, f"bad KC set {field!r}")
+                                      for tok in field.split("_")}))
+        block_responses = [_token(tok, i + 4, f"bad response value {tok!r}")
+                           for tok in lines[i + 3].split(",")]
+        block_stamps = [_token(tok, i + 5, f"bad timestamp value {tok!r}")
+                        for tok in lines[i + 4].split(",")]
+
+        lengths = (len(q_ids), len(block_sets), len(block_responses), len(block_stamps))
+        if len(set(lengths)) != 1:
+            raise DataFormatError(
+                f"line {i + 1}: unequal field counts across block lines "
+                f"({'/'.join(map(str, lengths))})")
+        if int(parts[1]) != len(q_ids):
+            raise DataFormatError(
+                f"line {i + 1}: declared length {int(parts[1])} != {len(q_ids)} fields")
+        questions += q_ids
+        kc_sets += block_sets
+        responses += block_responses
+        stamps += block_stamps
+        heads.append(i)
+        student_ids.append(parts[0].strip())
+        bounds.append(len(questions))
+        i += 5
+
+    if not heads:
+        return None
+    kcs = np.full((len(kc_sets), max(map(len, kc_sets))), -1, dtype=np.int64)
+    for row, kc_set in zip(kcs, kc_sets):
+        row[:len(kc_set)] = kc_set
+    q, r, t = (np.array(v, dtype=np.int64) for v in (questions, responses, stamps))
+    return heads, student_ids, bounds, q, r, t, kcs

@@ -31,7 +31,14 @@ from kttrace.train import (
     stage_seed,
 )
 
-from helpers import EDITS, apply_edit, build_tiny, checkpoint_bytes, split_checkpoint
+from helpers import (
+    EDITS,
+    OUTSIDE_THE_GRAMMAR,
+    apply_edit,
+    build_tiny,
+    checkpoint_bytes,
+    split_checkpoint,
+)
 
 
 def run_cli(capsys, *argv):
@@ -416,6 +423,38 @@ def test_bad_dataset_file_is_named_in_the_preprocess_error(tmp_path, capsys, cap
     assert f"{bad}: line 4: response must be 0 or 1, got 2" in caplog.text
 
 
+@pytest.mark.parametrize("name", list(OUTSIDE_THE_GRAMMAR))
+def test_a_file_outside_the_grammar_is_data_error(tmp_path, capsys, caplog, name):
+    text, message = OUTSIDE_THE_GRAMMAR[name]
+    path = write_config(tmp_path)
+    bad = tmp_path / "run" / "data" / "rich0.txt"
+    bad.parent.mkdir(parents=True)
+    bad.write_bytes(text.encode("utf-8"))
+    with caplog.at_level(logging.ERROR, logger="kttrace"):
+        code, _ = run_cli(capsys, "preprocess", "--config", str(path), "--dataset", "rich0")
+    assert code == 2
+    assert f"{bad}: {message}" in caplog.text
+
+
+def test_a_kc_array_too_large_to_reserve_is_data_error(tmp_path):
+    # 2,000 attempts and a first set of 200,000 KCs: 3.2 GB of padded
+    # sets, refused before any is made by a child capped at 1 GiB
+    path = write_config(tmp_path)
+    bad = tmp_path / "run" / "data" / "rich0.txt"
+    bad.parent.mkdir(parents=True)
+    n = 2000
+    bad.write_text(f"s1,{n}\n" + ",".join(["1"] * n) + "\n"
+                   + "_".join(map(str, range(200_000))) + ",2" * (n - 1) + "\n"
+                   + ",".join(["1"] * n) + "\n" + ",".join(map(str, range(n))) + "\n")
+    argv, env = _limited_child(f"sys.exit(main(['preprocess', '--config', {str(path)!r}, "
+                               f"'--dataset', 'rich0']))\n")
+    child = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 2, child.stderr[-2000:]
+    assert "Traceback" not in child.stderr
+    assert (f"{bad}: line 3: a set of 200000 KCs makes the KC array of 2000 attempts "
+            f"3200000000 bytes") in child.stderr
+
+
 def test_bad_prepared_split_is_named_in_the_eval_error(pipeline, capsys, caplog, tmp_path):
     root, ckpt, _ = pipeline
     work = tmp_path / "copy"
@@ -447,21 +486,20 @@ def eval_in_child(pipeline):
         "    except Exception as exc:\n"
         "        result = type(exc).__name__\n"
         "    print(json.dumps(result), flush=True)\n")
-    child = subprocess.Popen(argv, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                             stderr=subprocess.DEVNULL, text=True)
+    with subprocess.Popen(argv, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, text=True) as child:
+        def run(work):
+            child.stdin.write(json.dumps(["eval", "--config", str(work / "config.json"),
+                                          "--checkpoint", str(ckpt),
+                                          "--out", str(work / "eval")]) + "\n")
+            child.stdin.flush()
+            line = child.stdout.readline()
+            assert line, "the eval child exited"
+            return json.loads(line)
 
-    def run(work):
-        child.stdin.write(json.dumps(["eval", "--config", str(work / "config.json"),
-                                      "--checkpoint", str(ckpt),
-                                      "--out", str(work / "eval")]) + "\n")
-        child.stdin.flush()
-        line = child.stdout.readline()
-        assert line, "the eval child exited"
-        return json.loads(line)
-
-    yield run
-    child.stdin.close()
-    child.wait(timeout=60)
+        yield run
+        child.stdin.close()
+        child.wait(timeout=60)
 
 
 META_KEYS = ["name", "dataset_index", "role", "n_questions", "n_kcs", "segments", "other"]
@@ -645,21 +683,20 @@ def load_in_child(tmp_path_factory):
         "        print(json.dumps(['loaded', '']), flush=True)\n"
         "    except Exception as exc:\n"
         "        print(json.dumps([type(exc).__name__, str(exc)]), flush=True)\n")
-    child = subprocess.Popen(argv, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                             text=True)
     path = tmp_path_factory.mktemp("mutations") / "m.lrkt"
+    with subprocess.Popen(argv, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                          text=True) as child:
+        def load(blob):
+            path.write_bytes(blob)
+            child.stdin.write(f"{path}\n")
+            child.stdin.flush()
+            line = child.stdout.readline()
+            assert line, "the loading child exited"
+            return json.loads(line)
 
-    def load(blob):
-        path.write_bytes(blob)
-        child.stdin.write(f"{path}\n")
-        child.stdin.flush()
-        line = child.stdout.readline()
-        assert line, "the loading child exited"
-        return json.loads(line)
-
-    yield load
-    child.stdin.close()
-    child.wait(timeout=60)
+        yield load
+        child.stdin.close()
+        child.wait(timeout=60)
 
 
 @settings(deadline=None, max_examples=1000)
@@ -826,8 +863,7 @@ def test_full_pipeline_smoke(tmp_path, capsys):
     assert code == 0
     profile = summary["profile"]
     assert summary["layers"] == 3  # 3 sublayers x 1 block
-    obj = json.loads((tmp_path / profile).read_text()) \
-        if not profile.startswith("/") else json.loads(open(profile).read())
+    obj = json.loads((tmp_path / profile).read_text())   # an absolute profile stays as it is
     assert set(obj) == {"dataset", "n_samples", "layers"}
 
     code, plain = run_cli(capsys, "finetune", "--config", cfg,

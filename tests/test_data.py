@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import tempfile
 from pathlib import Path
 
@@ -27,10 +28,8 @@ from kttrace.data import (
     simulate_sequences,
     write_blocks,
 )
-from helpers import EDITS, apply_edit, seq_of
-from oracles import oracle_pack, oracle_simulate
-
-BLOCK = "s1,3\n10,11,10\n2_3,4,2\n1,0,1\n100,200,300\n"
+from helpers import BLOCK, EDITS, OUTSIDE_THE_GRAMMAR, apply_edit, seq_of
+from oracles import oracle_pack, oracle_parse_blocks, oracle_simulate
 
 
 def make_seq(sid, length, q0=0):
@@ -166,8 +165,9 @@ def sequences(draw, max_id=2**63 - 1):
     for _ in range(draw(st.integers(0, 4))):
         n = draw(st.integers(1, 6))
         ids = st.integers(0, max_id)
+        kc_sets = st.sets(ids, min_size=1, max_size=10)   # past 8 KCs, a set sorts alone
         rows = zip(draw(st.lists(ids, min_size=n, max_size=n)),
-                   draw(st.lists(st.sets(ids, min_size=1, max_size=3), min_size=n, max_size=n)),
+                   draw(st.lists(kc_sets, min_size=n, max_size=n)),
                    draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
                    np.cumsum(draw(st.lists(st.integers(0, 2**40), min_size=n, max_size=n))))
         sid = draw(st.from_regex(r"[A-Za-z0-9_,.-]{1,8}", fullmatch=True))
@@ -220,18 +220,20 @@ def test_a_one_kc_field_parses_like_the_same_kc_twice(token):
 
 
 def ingest_by_token(path):
-    """The per-token parser alone: the oracle of ``ingest``'s numpy path."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return data._sequences(*data._parse_tokens(fh.read()))
+    """The per-token parser: the oracle of ``ingest``."""
+    with open(path, "rb") as fh:
+        parsed = oracle_parse_blocks(fh.read())
+    return data._sequences(*parsed) if parsed else []
 
 
 @st.composite
 def edited_files(draw):
-    """``write_blocks`` output with one edit."""
+    """``write_blocks`` output with one to three edits."""
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "f.txt"
-        write_blocks(draw(sequences(max_id=draw(st.sampled_from([99, 10**18 - 1])))), path)
-        return apply_edit(path.read_text(encoding="utf-8"), draw(EDITS))
+        write_blocks(draw(sequences(max_id=draw(st.sampled_from([99, 2**63 - 1])))), path)
+        text = path.read_text(encoding="utf-8")
+    return functools.reduce(apply_edit, draw(st.lists(EDITS, min_size=1, max_size=3)), text)
 
 
 @settings(max_examples=400, deadline=None)
@@ -242,6 +244,8 @@ def edited_files(draw):
 @example(text="s1,3\r\n10,11,10\r\n2_3,4,2\r\n1,0,1\r\n100,200,300\r\n")
 @example(text="s1,3\n10, 11,10\n2_3,4,2\n1,0,1\n100,200,300\n")
 @example(text="s1,3\n10,11,10\n2_3,4,2\n1,0,1\n100,200,1000000000000000000\n")
+@example(text="s1,3\n10,11,10\n9_8_7_6_5_4_3_2_1_9223372036854775807,"
+              "9223372036854775807_2,2\n1,0,1\n100,200,300\n")   # a KC equal to int64's top
 @given(text=edited_files())
 def test_ingest_equals_the_per_token_parser_on_any_edited_file(text):
     with tempfile.TemporaryDirectory() as d:
@@ -250,26 +254,12 @@ def test_ingest_equals_the_per_token_parser_on_any_edited_file(text):
         assert outcome(ingest, path) == outcome(ingest_by_token, path)
 
 
-@settings(max_examples=60, deadline=None)
-@given(sequences(max_id=10**18 - 1).filter(bool))   # an empty file has no block
-def test_write_blocks_output_takes_the_numpy_path(seqs):
-    def refuse(text):
-        raise AssertionError("the per-token parser ran")
-
-    with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as patch:
-        patch.setattr(data, "_parse_tokens", refuse)
-        path = Path(d) / "f.txt"
-        write_blocks(seqs, path)
-        assert ingest(path) == seqs
-
-
-def test_a_set_of_more_than_8_kcs_takes_the_per_token_parser():
-    # the numpy path's [K, N] sort array takes K from the widest set, repeats counted
-    def text(width):
-        return f"s1,3\n10,11,10\n{'_'.join(['5'] * width)},4,2\n1,0,1\n100,200,300\n".encode()
-
-    assert data._parse_digit_blocks(text(8)) is not None
-    assert data._parse_digit_blocks(text(9)) is None
+@pytest.mark.parametrize("name", list(OUTSIDE_THE_GRAMMAR))
+def test_a_file_outside_the_grammar_is_refused(tmp_path, name):
+    text, message = OUTSIDE_THE_GRAMMAR[name]
+    path = tmp_path / "f.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert outcome(ingest, path) == outcome(ingest_by_token, path) == message
 
 
 def test_write_blocks_keeps_a_negative_kc_id(tmp_path):

@@ -373,8 +373,7 @@ def test_fit_step_gradients_equal_one_single_pack(monkeypatch):
     prepared = make_prepared(n_students=40)
     train = prepared.splits.train
     model, vocab = model_for([prepared], seed=2)
-    model = KTModel.from_arrays(model.config, vocab, model.views(model.copy_arrays()),
-                                dtype=np.float64)
+    model = KTModel(model.config, vocab, model.flat_params.astype(np.float64))
     monkeypatch.setattr("kttrace.data.TAPE_CELLS", 256)
     parts = pack_rows(train, vocab, 0)
     assert len(parts) > 1 and shares_rows(parts)
@@ -545,8 +544,7 @@ def test_parameters_are_views_of_the_flat_buffers(tmp_path):
     model.param("head.w1").zero_grad()
     check_bound_to_flat_buffers(model)
     assert not model.param("head.w1").grad.any() and model.flat_grads.any()
-    check_bound_to_flat_buffers(KTModel.from_arrays(
-        model.config, vocab, model.views(model.copy_arrays()), dtype=np.float64))
+    check_bound_to_flat_buffers(KTModel(model.config, vocab, model.flat_params.astype(np.float64)))
     adapted = zero_shot_adapt(model, "new", n_questions=5, n_kcs=3, seed=1)
     check_bound_to_flat_buffers(adapted)
     ckpt = fit(model, [prepared], quiet_config(max_epochs=2))
